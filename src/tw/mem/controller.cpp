@@ -352,12 +352,16 @@ MemoryRequest Controller::take_read_slot(u32 slot) {
 }
 
 StartGapLeveler& Controller::leveler_for(u64 region) {
-  // Regions are dense under the bounded trace address spaces: a flat
-  // array replaces the reference's unordered_map lookup on the write
-  // issue path.
-  if (region >= levelers_.size()) levelers_.resize(region + 1);
-  if (!levelers_[region].has_value()) levelers_[region].emplace(cfg_.start_gap);
-  return *levelers_[region];
+  // Keyed, not dense: region indices follow the address layout (the
+  // generator's shared region alone sits near index 2^26), so a table
+  // sized by the largest index would be bounded by nothing.
+  u32 idx = leveler_index_.find(region);
+  if (idx == FlatIndexMap::kNoIndex) {
+    idx = static_cast<u32>(levelers_.size());
+    levelers_.emplace_back(cfg_.start_gap);
+    leveler_index_.insert(region, idx);
+  }
+  return levelers_[idx];
 }
 
 bool Controller::read_waiting_for_subarray(u32 subarray) {

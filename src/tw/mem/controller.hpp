@@ -43,6 +43,7 @@
 #include <optional>
 #include <vector>
 
+#include "tw/common/flat_map.hpp"
 #include "tw/common/inline_vec.hpp"
 #include "tw/common/intrusive_list.hpp"
 #include "tw/common/types.hpp"
@@ -410,10 +411,10 @@ class Controller : public MemoryInterface {
   /// palp.* knobs say.
   bool palp_on_ = false;
 
-  // Wear leveling state: flat array indexed by region id (regions are
-  // dense under the bounded trace address spaces; entries materialize on
-  // first touch).
-  std::vector<std::optional<StartGapLeveler>> levelers_;
+  // Wear leveling state: one leveler per touched region, in first-touch
+  // order, found through a region -> index map.
+  FlatIndexMap leveler_index_;
+  std::vector<StartGapLeveler> levelers_;
 
   // In-flight read results staged by slot: completion callbacks capture
   // one u32 instead of a full MemoryRequest, keeping them inside the

@@ -5,6 +5,11 @@
 // cross-products on full-system runs.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include "tw/core/factory.hpp"
 #include "tw/harness/experiment.hpp"
@@ -106,6 +111,83 @@ TEST(Combo, PausingPlusWearLevelingKeepsDataConsistent) {
     EXPECT_EQ(ctl.store().read_logical(phys).word(0), last_written[l])
         << "line " << l;
   }
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define TW_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define TW_SANITIZED 1
+#endif
+#endif
+
+// Caps this process's address space at what it maps now plus
+// `headroom_mb`, so a structure sized by an address instead of by what
+// was touched fails with bad_alloc instead of paging the host.
+void limit_address_space(u64 headroom_mb) {
+  std::ifstream status("/proc/self/status");
+  u64 vm_kb = 0;
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      vm_kb = std::strtoull(line.c_str() + 7, nullptr, 10);
+    }
+  }
+  const rlim_t cap = (vm_kb + headroom_mb * 1024) * 1024;
+  const rlimit lim{cap, cap};
+  if (vm_kb == 0 || setrlimit(RLIMIT_AS, &lim) != 0) std::_Exit(3);
+}
+
+// Runs in a forked child under the address-space cap; exit 0 = the run
+// completed, anything else (bad_alloc abort, failed check) = unbounded.
+void run_bounded(const harness::SystemConfig& cfg, const char* workload) {
+  limit_address_space(1024);
+  const harness::RunMetrics m = harness::run_system(
+      cfg, workload::profile_by_name(workload), schemes::SchemeKind::kTetris);
+  std::_Exit(m.completed ? 0 : 1);
+}
+
+TEST(Combo, AllFeaturesMemoryBoundedUnderAddressSpaceLimit) {
+#ifdef TW_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes reserve address space lazily";
+#else
+  // High: the generator's shared region sits at 2^44 bytes.
+  EXPECT_EXIT(run_bounded(everything_on(), "vips"),
+              ::testing::ExitedWithCode(0), "");
+  // Multi-channel: per-channel controllers each key their own regions.
+  harness::SystemConfig multi = everything_on();
+  multi.pcm.geometry.channels = 4;
+  multi.sim_threads = 2;
+  EXPECT_EXIT(run_bounded(multi, "canneal"), ::testing::ExitedWithCode(0),
+              "");
+  // Sparse: a handful of lines spread over the whole 48-bit space, one
+  // Start-Gap region each.
+  EXPECT_EXIT(
+      {
+        limit_address_space(1024);
+        sim::Simulator sim;
+        stats::Registry reg;
+        const pcm::PcmConfig pcfg = pcm::table2_config();
+        const auto scheme =
+            core::make_scheme(schemes::SchemeKind::kTetris, pcfg);
+        mem::ControllerConfig ccfg;
+        ccfg.drain = mem::ControllerConfig::DrainPolicy::kOpportunistic;
+        ccfg.wear_leveling = true;
+        ccfg.start_gap.region_lines = 64;
+        ccfg.start_gap.gap_write_interval = 1;
+        mem::Controller ctl(sim, pcfg, ccfg, *scheme, reg);
+        for (u64 k = 1; k <= 64; ++k) {
+          mem::MemoryRequest w;
+          w.addr = (k << 41) | (k * 64 * 4099);
+          w.type = mem::ReqType::kWrite;
+          w.data = pcm::LogicalLine(pcfg.geometry.units_per_line());
+          w.data.set_word(0, k);
+          if (!ctl.enqueue(std::move(w))) std::_Exit(1);
+          sim.run();
+        }
+        std::_Exit(ctl.idle() && ctl.gap_moves() == 64 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 TEST(Combo, BatchingRespectsStrictDrain) {
