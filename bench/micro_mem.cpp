@@ -140,7 +140,8 @@ void run_component_micros() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const tw::bench::Options o = tw::bench::Options::parse(argc, argv);
+  const tw::bench::Options o =
+      tw::bench::Options::parse(argc, argv, {"--reference"});
   bool reference = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--reference") == 0) reference = true;

@@ -176,7 +176,8 @@ TraceOverhead measure_trace_overhead(u64 total, u32 chains, u64 seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const tw::bench::Options o = tw::bench::Options::parse(argc, argv);
+  const tw::bench::Options o =
+      tw::bench::Options::parse(argc, argv, {"--trace-overhead"});
   const u64 total = o.quick ? 2'000'000 : 8'000'000;
   const u32 chains = 64;
 
