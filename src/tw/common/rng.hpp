@@ -44,6 +44,9 @@ class Rng {
   /// Derive an independent child stream (for per-component RNGs).
   Rng split() { return Rng(next()); }
 
+  /// Same state, so the same stream from here on.
+  bool operator==(const Rng&) const = default;
+
   static constexpr u64 min() { return 0; }
   static constexpr u64 max() { return ~u64{0}; }
   u64 operator()() { return next(); }
@@ -97,22 +100,7 @@ class Rng {
   }
 
   /// Poisson sample (Knuth for small lambda, normal approx for large).
-  u64 poisson(double lambda) {
-    TW_EXPECTS(lambda >= 0.0);
-    if (lambda <= 0.0) return 0;
-    if (lambda < 30.0) {
-      const double limit = std::exp(-lambda);
-      u64 k = 0;
-      double p = 1.0;
-      do {
-        ++k;
-        p *= uniform();
-      } while (p > limit);
-      return k - 1;
-    }
-    const double g = gaussian() * std::sqrt(lambda) + lambda;
-    return g < 0.0 ? 0 : static_cast<u64>(g + 0.5);
-  }
+  u64 poisson(double lambda);
 
   /// Standard normal sample (Box–Muller; one value per call).
   double gaussian() {
@@ -130,5 +118,40 @@ class Rng {
 
   std::array<u64, 4> state_{};
 };
+
+/// Poisson draws at one fixed mean, draw-for-draw identical to
+/// Rng::poisson(lambda): exp(-lambda) is computed once here rather than
+/// once per draw, which matters to callers drawing at a fixed mean in a
+/// hot loop.
+class PoissonSampler {
+ public:
+  explicit PoissonSampler(double lambda)
+      : lambda_(lambda), limit_(lambda < 30.0 ? std::exp(-lambda) : 0.0) {
+    TW_EXPECTS(lambda >= 0.0);
+  }
+
+  u64 operator()(Rng& rng) const {
+    if (lambda_ <= 0.0) return 0;
+    if (lambda_ < 30.0) {
+      u64 k = 0;
+      double p = 1.0;
+      do {
+        ++k;
+        p *= rng.uniform();
+      } while (p > limit_);
+      return k - 1;
+    }
+    const double g = rng.gaussian() * std::sqrt(lambda_) + lambda_;
+    return g < 0.0 ? 0 : static_cast<u64>(g + 0.5);
+  }
+
+ private:
+  double lambda_;
+  double limit_;  ///< exp(-lambda), Knuth's stopping product (lambda < 30)
+};
+
+inline u64 Rng::poisson(double lambda) {
+  return PoissonSampler(lambda)(*this);
+}
 
 }  // namespace tw

@@ -23,6 +23,14 @@
 
 namespace tw::workload {
 
+/// One mutated data unit: of the low `unit_bits` of `logical`, a
+/// `sets`-distributed number of zero bits are raised and a
+/// `resets`-distributed number of one bits cleared, each count capped by
+/// the bits available and the positions chosen uniformly without
+/// replacement.
+u64 mutate_unit(u64 logical, u32 unit_bits, const PoissonSampler& sets,
+                const PoissonSampler& resets, Rng& rng);
+
 /// Deterministic per-(workload, seed) trace source.
 class TraceGenerator : public RequestSource {
  public:
@@ -46,7 +54,6 @@ class TraceGenerator : public RequestSource {
 
  private:
   Addr pick_address(u32 core, Rng& rng);
-  u64 mutate_unit(u64 logical, Rng& rng);
   u64 modulate_gap(u64 gap, u32 core, Rng& rng);
   u64 compressible_unit(Rng& rng);
   u64 zipf_byte_unit(Rng& rng);
@@ -57,6 +64,8 @@ class TraceGenerator : public RequestSource {
   u32 units_per_line_;
   u32 unit_bits_;
   double shared_frac_;
+  PoissonSampler sets_;    ///< zero bits raised per mutated unit
+  PoissonSampler resets_;  ///< one bits cleared per mutated unit
   std::vector<Rng> core_rng_;
   std::vector<bool> in_burst_;  ///< per-core ON/OFF modulation state
 };

@@ -13,6 +13,7 @@
 #include "tw/workload/generator.hpp"
 #include "tw/workload/profiles.hpp"
 #include "tw/workload/trace_io.hpp"
+#include "reference_mutate.hpp"
 
 namespace tw::workload {
 namespace {
@@ -295,6 +296,62 @@ TEST(ContentClass, AdversarialFlipsExactlyHalf) {
     for (u32 u = 0; u < g.units_per_line(); ++u) {
       EXPECT_EQ(hamming(current.word(u), next.word(u)),
                 g.data_unit_bits / 2);
+    }
+  }
+}
+
+// ------------------------------------------------ mutate fast-path lock --
+// The shipped mutation (popcount counts, countr_zero position walk,
+// exp(-lambda) once per sampler) must reproduce the frozen per-bit
+// reference word for word and leave the RNG in the same state, so every
+// payload stream downstream stays bit-identical.
+
+TEST(MutateLock, PoissonMatchesFrozenLoop) {
+  for (const double lambda :
+       {0.0, 0.05, 0.7, 2.9, 6.7, 19.5, 29.999, 30.0, 45.0, 120.0}) {
+    const PoissonSampler sampler(lambda);
+    Rng fast(17), via_rng(17), ref(17);
+    for (int i = 0; i < 2000; ++i) {
+      const u64 want = testref::reference_poisson(ref, lambda);
+      ASSERT_EQ(sampler(fast), want) << "lambda " << lambda << " draw " << i;
+      ASSERT_EQ(via_rng.poisson(lambda), want) << "lambda " << lambda;
+    }
+    EXPECT_TRUE(fast == ref) << "lambda " << lambda;
+    EXPECT_TRUE(via_rng == ref) << "lambda " << lambda;
+  }
+}
+
+TEST(MutateLock, UnitMatchesFrozenReference) {
+  std::vector<std::pair<double, double>> means;
+  for (const auto& p : parsec_profiles()) {
+    means.emplace_back(p.mean_sets, p.mean_resets);
+  }
+  // lambda = 0, small, and >= 30 (normal approximation; counts clip to
+  // the bits available).
+  means.insert(means.end(), {{0.0, 0.0}, {0.0, 3.5}, {1.5, 0.0},
+                             {30.0, 30.0}, {45.0, 2.0}, {0.4, 64.0}});
+  Rng content(99);
+  for (const auto& [ms, mr] : means) {
+    const PoissonSampler sets(ms), resets(mr);
+    for (u32 bits = 8; bits <= 64; ++bits) {
+      Rng fast(bits * 7919 + static_cast<u64>(ms * 1000 + mr));
+      Rng ref = fast;
+      for (int i = 0; i < 64; ++i) {
+        u64 word = content.next();
+        if (i == 0) word = 0;
+        if (i == 1) word = ~u64{0};
+        if (i == 2) word = low_mask(bits);
+        if (i % 4 == 3) word &= content.next() & content.next();  // sparse
+        if (i % 4 == 0 && i > 0) word |= content.next() | content.next();
+        const u64 want =
+            testref::reference_mutate_unit(word, bits, ms, mr, ref);
+        ASSERT_EQ(mutate_unit(word, bits, sets, resets, fast), want)
+            << "sets " << ms << " resets " << mr << " bits " << bits
+            << " word " << i;
+        ASSERT_TRUE(fast == ref)
+            << "rng diverged: sets " << ms << " resets " << mr << " bits "
+            << bits << " word " << i;
+      }
     }
   }
 }
