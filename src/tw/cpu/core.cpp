@@ -67,12 +67,20 @@ void Core::try_issue() {
 
   if (pending_.is_write) {
     req.type = mem::ReqType::kWrite;
-    req.data = gen_.make_write_data(pending_.addr, ctl_.store_for(pending_.addr), id_);
+    // The payload is fixed when the writeback first leaves the core. A
+    // refused enqueue re-offers the same data, so retries draw nothing
+    // and the data stream does not depend on how often the queue refuses.
+    if (!payload_) {
+      payload_ = gen_.make_write_data(pending_.addr,
+                                      ctl_.store_for(pending_.addr), id_);
+    }
+    req.data = *payload_;
     if (!ctl_.enqueue(std::move(req))) {
       if (state_ != State::kStallQueue) ++stall_events_;
       state_ = State::kStallQueue;
       return;  // resumed by on_queue_space
     }
+    payload_.reset();
     ++writes_issued_;
   } else {
     if (outstanding_reads_ >= cfg_.mlp) {

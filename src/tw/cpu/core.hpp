@@ -9,6 +9,8 @@
 // queue-full backpressure — exactly the couplings that turn write-service
 // time into IPC/runtime effects in the paper.
 
+#include <optional>
+
 #include "tw/common/types.hpp"
 #include "tw/mem/interface.hpp"
 #include "tw/sim/simulator.hpp"
@@ -85,6 +87,8 @@ class Core {
   State state_ = State::kIdle;
   workload::TraceOp pending_{};
   bool has_pending_ = false;
+  /// The pending write's data, synthesized at its first issue attempt.
+  std::optional<pcm::LogicalLine> payload_;
   bool finished_ = false;
   Tick finish_tick_ = 0;
 };

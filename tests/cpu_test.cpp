@@ -5,6 +5,7 @@
 #include "tw/core/factory.hpp"
 #include "tw/cpu/multicore.hpp"
 #include "tw/harness/experiment.hpp"
+#include "tw/mem/memory_system.hpp"
 #include "tw/workload/generator.hpp"
 
 namespace tw::cpu {
@@ -120,6 +121,89 @@ TEST(MultiCore, AggregateIpcSumsCores) {
   // Four unstalled cores should reach ~4x the single-core IPC.
   EXPECT_GT(f.cpus->aggregate_ipc(), 0.8 * 4.0 * 1.0);
 }
+
+// Counts payload syntheses on the way through to the real generator.
+class CountingSource : public workload::RequestSource {
+ public:
+  explicit CountingSource(workload::RequestSource& inner) : inner_(inner) {}
+  workload::TraceOp next(u32 core) override { return inner_.next(core); }
+  pcm::LogicalLine make_write_data(Addr addr, mem::DataStore& store,
+                                   u32 core) override {
+    ++synth_calls;
+    return inner_.make_write_data(addr, store, core);
+  }
+  u64 synth_calls = 0;
+
+ private:
+  workload::RequestSource& inner_;
+};
+
+// Counts refused write enqueues on the way through to the memory system.
+class RefusalCounter : public mem::MemoryInterface {
+ public:
+  explicit RefusalCounter(mem::MemoryInterface& inner) : inner_(inner) {}
+  bool enqueue(mem::MemoryRequest req) override {
+    const bool write = req.type == mem::ReqType::kWrite;
+    const bool ok = inner_.enqueue(std::move(req));
+    if (write && !ok) ++refused_writes;
+    return ok;
+  }
+  void set_read_callback(ReadCallback cb) override {
+    inner_.set_read_callback(std::move(cb));
+  }
+  void set_write_callback(WriteCallback cb) override {
+    inner_.set_write_callback(std::move(cb));
+  }
+  void set_space_callback(SpaceCallback cb) override {
+    inner_.set_space_callback(std::move(cb));
+  }
+  bool idle() const override { return inner_.idle(); }
+  mem::DataStore& store_for(Addr addr) override {
+    return inner_.store_for(addr);
+  }
+  u64 refused_writes = 0;
+
+ private:
+  mem::MemoryInterface& inner_;
+};
+
+class SynthesizeOnce : public ::testing::TestWithParam<u32> {};
+
+TEST_P(SynthesizeOnce, RefusedWritesReofferTheSamePayload) {
+  // Many write-heavy cores against a tiny write queue: most write
+  // attempts are refused, and each refusal must leave the data stream
+  // untouched (one synthesis per issued write).
+  constexpr u32 kCores = 16;
+  pcm::PcmConfig pc = pcm::table2_config();
+  pc.geometry.channels = GetParam();
+  mem::ControllerConfig cc;
+  cc.write_queue_entries = 4;
+  cc.drain_low_watermark = 1;
+  sim::Simulator front;
+  stats::Registry reg;
+  const mem::SchemeFactory factory = [&](u32) {
+    return core::make_scheme(schemes::SchemeKind::kDcw, pc);
+  };
+  const workload::WorkloadProfile& profile =
+      workload::profile_by_name("vips");
+  mem::MemorySystem msys(front, pc, cc, factory, reg, fault::FaultConfig{},
+                         /*seed=*/42, profile.initial_ones_fraction,
+                         /*xbar_latency=*/ns(20), /*sim_threads=*/1);
+  RefusalCounter mem(msys);
+  workload::TraceGenerator gen(profile, pc.geometry, kCores, 7);
+  CountingSource src(gen);
+  MultiCore cpus(front, CoreConfig{}, kCores, mem, src, 20'000);
+  cpus.start();
+  msys.run(ms(1000));
+
+  ASSERT_TRUE(cpus.all_finished());
+  u64 writes = 0;
+  for (u32 c = 0; c < kCores; ++c) writes += cpus.core(c).writes_issued();
+  EXPECT_GT(mem.refused_writes, writes) << "backpressure too light";
+  EXPECT_EQ(src.synth_calls, writes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Channels, SynthesizeOnce, ::testing::Values(1u, 4u));
 
 TEST(Core, StartTwiceRejected) {
   SystemFixture f("blackscholes", 1, 1'000);
