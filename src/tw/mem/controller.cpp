@@ -5,6 +5,7 @@
 
 #include "tw/common/assert.hpp"
 #include "tw/common/bits.hpp"
+#include "tw/common/env.hpp"
 #include "tw/common/inline_vec.hpp"
 #include "tw/trace/emit.hpp"
 
@@ -71,10 +72,7 @@ Controller::Controller(sim::Simulator& sim, const pcm::PcmConfig& pcm_cfg,
       write_by_bank_(map_.total_banks()),
       subs_with_reads_((map_.total_subarrays() + 63) / 64, 0),
       banks_with_writes_((map_.total_banks() + 63) / 64, 0),
-      // Stuck-bank remapping moves requests' effective (bank, subarray)
-      // away from the decoded location, which only the exact age-ordered
-      // dispatch paths tolerate (same reason as wear leveling).
-      static_mapping_(!cfg.wear_leveling && !fault_remap_),
+      verify_index_(verify_env_enabled()),
       open_row_(map_.total_banks()),
       active_write_(map_.total_banks()),
       paused_write_(map_.total_banks()),
@@ -89,6 +87,7 @@ Controller::Controller(sim::Simulator& sim, const pcm::PcmConfig& pcm_cfg,
       c_flipped_units_(registry.counter("mem.units_flipped")),
       c_pauses_(registry.counter("mem.write_pauses")),
       c_gap_moves_(registry.counter("mem.gap_moves")),
+      c_gap_requeues_(registry.counter("mem.gap_requeues")),
       c_batched_(registry.counter("mem.writes_batched")),
       c_row_hits_(registry.counter("mem.row_hits")),
       c_row_misses_(registry.counter("mem.row_misses")),
@@ -133,11 +132,13 @@ Controller::Controller(sim::Simulator& sim, const pcm::PcmConfig& pcm_cfg,
 
 // -- Node plumbing --------------------------------------------------------
 
-u32 Controller::make_node(MemoryRequest&& req, u32 bucket) {
+u32 Controller::make_node(MemoryRequest&& req, Addr phys) {
   const u32 id = nodes_.alloc();
   ReqNode& n = nodes_[id];
   n.req = std::move(req);
-  n.bucket = bucket;
+  n.phys = phys;
+  n.sub = eff_sub(phys);
+  n.bank = eff_bank(phys);
   return id;
 }
 
@@ -149,14 +150,14 @@ MemoryRequest Controller::take_node(u32 id) {
 
 void Controller::link_read(u32 id) {
   read_age_.push_back(nodes_, id);
-  const u32 sub = nodes_[id].bucket;
+  const u32 sub = nodes_[id].sub;
   read_by_sub_[sub].push_back(nodes_, id);
   bitmap_set(subs_with_reads_, sub);
   read_q_peak_ = std::max(read_q_peak_, read_age_.size());
 }
 
 void Controller::unlink_read(u32 id) {
-  const u32 sub = nodes_[id].bucket;
+  const u32 sub = nodes_[id].sub;
   read_age_.erase(nodes_, id);
   read_by_sub_[sub].erase(nodes_, id);
   if (read_by_sub_[sub].empty()) bitmap_clear(subs_with_reads_, sub);
@@ -164,17 +165,86 @@ void Controller::unlink_read(u32 id) {
 
 void Controller::link_write(u32 id) {
   write_age_.push_back(nodes_, id);
-  const u32 bank = nodes_[id].bucket;
+  const u32 bank = nodes_[id].bank;
   write_by_bank_[bank].push_back(nodes_, id);
   bitmap_set(banks_with_writes_, bank);
   write_q_peak_ = std::max(write_q_peak_, write_age_.size());
 }
 
 void Controller::unlink_write(u32 id) {
-  const u32 bank = nodes_[id].bucket;
+  const u32 bank = nodes_[id].bank;
   write_age_.erase(nodes_, id);
   write_by_bank_[bank].erase(nodes_, id);
   if (write_by_bank_[bank].empty()) bitmap_clear(banks_with_writes_, bank);
+}
+
+void Controller::requeue_moved_line(Addr from, Addr to) {
+  // `to` was the empty gap slot, so only the line at `from` moved; its
+  // queued requests (several reads, or writes without coalescing) all sit
+  // in `from`'s buckets.
+  const u32 to_sub = eff_sub(to);
+  const u32 to_bank = eff_bank(to);
+  const auto requeue = [&](std::vector<BucketList>& buckets,
+                           std::vector<u64>& nonempty, u32 src, u32 dst) {
+    for (u32 id = buckets[src].head(); id != kNilIndex;) {
+      const u32 nxt = buckets[src].next(nodes_, id);
+      ReqNode& n = nodes_[id];
+      if (n.phys == from) {
+        c_gap_requeues_.inc();
+        n.phys = to;
+        n.sub = to_sub;
+        n.bank = to_bank;
+        if (dst != src) {
+          buckets[src].erase(nodes_, id);
+          // The list only appends: append, then rotate the run of nodes
+          // younger than this one (at the tail) behind it.
+          BucketList& list = buckets[dst];
+          u32 younger = kNilIndex;
+          for (u32 y = list.tail();
+               y != kNilIndex && nodes_[y].req.id > n.req.id;
+               y = list.prev(nodes_, y)) {
+            younger = y;
+          }
+          list.push_back(nodes_, id);
+          while (younger != kNilIndex && younger != id) {
+            const u32 after = list.next(nodes_, younger);
+            list.erase(nodes_, younger);
+            list.push_back(nodes_, younger);
+            younger = after;
+          }
+          bitmap_set(nonempty, dst);
+        }
+      }
+      id = nxt;
+    }
+    if (buckets[src].empty()) bitmap_clear(nonempty, src);
+  };
+  requeue(read_by_sub_, subs_with_reads_, eff_sub(from), to_sub);
+  requeue(write_by_bank_, banks_with_writes_, eff_bank(from), to_bank);
+}
+
+void Controller::check_queue_index() {
+  const auto check = [&](const AgeList& age,
+                         const std::vector<BucketList>& buckets,
+                         const std::vector<u64>& nonempty, u32 ReqNode::*key) {
+    u32 linked = 0;
+    for (u32 b = 0; b < buckets.size(); ++b) {
+      TW_ASSERT(bitmap_test(nonempty, b) == !buckets[b].empty());
+      u64 last_id = 0;
+      for (u32 id = buckets[b].head(); id != kNilIndex;
+           id = buckets[b].next(nodes_, id), ++linked) {
+        const ReqNode& n = nodes_[id];
+        const Addr phys = physical_of(n.req.addr);
+        TW_ASSERT(n.req.id > last_id && n.*key == b);
+        TW_ASSERT(n.phys == phys && n.sub == eff_sub(phys) &&
+                  n.bank == eff_bank(phys));
+        last_id = n.req.id;
+      }
+    }
+    TW_ASSERT(linked == age.size());
+  };
+  check(read_age_, read_by_sub_, subs_with_reads_, &ReqNode::sub);
+  check(write_age_, write_by_bank_, banks_with_writes_, &ReqNode::bank);
 }
 
 // -- Open-row tracking ----------------------------------------------------
@@ -203,49 +273,29 @@ bool Controller::enqueue(MemoryRequest req) {
   req.enqueue_tick = sim_.now();
   req.id = next_id_++;
 
+  // Every queued request of one logical line has the same physical line,
+  // so coalescing and forwarding scan a single bucket.
+  const Addr phys = physical_of(req.addr);
   if (req.is_write()) {
     TW_EXPECTS(req.data.units() == store_.units_per_line());
-    // Buckets are keyed by the *logical* address: identical to the
-    // physical location when the mapping is static (the only case the
-    // indexed paths consult them), and a harmless advisory grouping
-    // otherwise.
-    const u32 bank = map_.flat_bank(req.addr);
     if (cfg_.write_coalescing) {
-      if (static_mapping_) {
-        // Same-line writes necessarily share the bank: scan one bucket.
-        const BucketList& list = write_by_bank_[bank];
-        for (u32 id = list.head(); id != kNilIndex;
-             id = list.next(nodes_, id)) {
-          if (nodes_[id].req.addr == req.addr) {
-            nodes_[id].req.data = req.data;
-            c_coalesced_.inc();
-            if (trace::on<kCat>()) {
-              trace::emit_instant(kCat, trace::Op::kWriteCoalesce,
-                                  write_queue_track(cfg_.track_base), sim_.now(), req.id,
-                                  nodes_[id].req.id);
-            }
-            return true;
+      const BucketList& list = write_by_bank_[eff_bank(phys)];
+      for (u32 id = list.head(); id != kNilIndex; id = list.next(nodes_, id)) {
+        if (nodes_[id].req.addr == req.addr) {
+          nodes_[id].req.data = req.data;
+          c_coalesced_.inc();
+          if (trace::on<kCat>()) {
+            trace::emit_instant(kCat, trace::Op::kWriteCoalesce,
+                                write_queue_track(cfg_.track_base), sim_.now(), req.id,
+                                nodes_[id].req.id);
           }
-        }
-      } else {
-        for (u32 id = write_age_.head(); id != kNilIndex;
-             id = write_age_.next(nodes_, id)) {
-          if (nodes_[id].req.addr == req.addr) {
-            nodes_[id].req.data = req.data;
-            c_coalesced_.inc();
-            if (trace::on<kCat>()) {
-              trace::emit_instant(kCat, trace::Op::kWriteCoalesce,
-                                  write_queue_track(cfg_.track_base), sim_.now(), req.id,
-                                  nodes_[id].req.id);
-            }
-            return true;
-          }
+          return true;
         }
       }
     }
     if (write_age_.size() >= cfg_.write_queue_entries) return false;
     const u64 req_id = req.id;
-    link_write(make_node(std::move(req), bank));
+    link_write(make_node(std::move(req), phys));
     if (trace::on<kCat>()) {
       trace::emit_instant(kCat, trace::Op::kWriteEnqueue, write_queue_track(cfg_.track_base),
                           sim_.now(), req_id, write_age_.size());
@@ -257,22 +307,11 @@ bool Controller::enqueue(MemoryRequest req) {
       // bucket list preserves relative queue order, so scanning it
       // backwards finds the same entry.
       u32 match = kNilIndex;
-      if (static_mapping_) {
-        const BucketList& list = write_by_bank_[map_.flat_bank(req.addr)];
-        for (u32 id = list.tail(); id != kNilIndex;
-             id = list.prev(nodes_, id)) {
-          if (nodes_[id].req.addr == req.addr) {
-            match = id;
-            break;
-          }
-        }
-      } else {
-        for (u32 id = write_age_.tail(); id != kNilIndex;
-             id = write_age_.prev(nodes_, id)) {
-          if (nodes_[id].req.addr == req.addr) {
-            match = id;
-            break;
-          }
+      const BucketList& list = write_by_bank_[eff_bank(phys)];
+      for (u32 id = list.tail(); id != kNilIndex; id = list.prev(nodes_, id)) {
+        if (nodes_[id].req.addr == req.addr) {
+          match = id;
+          break;
         }
       }
       if (match != kNilIndex) {
@@ -301,8 +340,7 @@ bool Controller::enqueue(MemoryRequest req) {
     }
     if (read_age_.size() >= cfg_.read_queue_entries) return false;
     const u64 req_id = req.id;
-    const u32 sub = map_.flat_subarray(req.addr);
-    link_read(make_node(std::move(req), sub));
+    link_read(make_node(std::move(req), phys));
     if (trace::on<kCat>()) {
       trace::emit_instant(kCat, trace::Op::kReadEnqueue, read_queue_track(cfg_.track_base),
                           sim_.now(), req_id, read_age_.size());
@@ -364,17 +402,6 @@ StartGapLeveler& Controller::leveler_for(u64 region) {
   return levelers_[idx];
 }
 
-bool Controller::read_waiting_for_subarray(u32 subarray) {
-  if (static_mapping_) return !read_by_sub_[subarray].empty();
-  for (u32 id = read_age_.head(); id != kNilIndex;
-       id = read_age_.next(nodes_, id)) {
-    if (eff_sub(physical_of(nodes_[id].req.addr)) == subarray) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void Controller::schedule_dispatch() {
   if (dispatch_scheduled_) return;
   dispatch_scheduled_ = true;
@@ -400,16 +427,9 @@ void Controller::dispatch() {
     trace::emit_instant(kCat, trace::Op::kDispatch, read_queue_track(cfg_.track_base), now,
                         read_age_.size(), write_age_.size());
   }
+  if (verify_index_) check_queue_index();
 
-  // Reads first (FRFCFS priority). The indexed path needs the ready set
-  // to be stable across the sweep: write pausing can free a subarray
-  // mid-sweep (a pause boundary may land exactly on `now`), so it falls
-  // back to the exact age-ordered walk, as does a non-static mapping.
-  if (static_mapping_ && !cfg_.write_pausing) {
-    dispatch_reads_indexed(now);
-  } else {
-    dispatch_reads_exact(now);
-  }
+  dispatch_reads(now);  // reads first (FRFCFS priority)
 
   if (draining_ && write_age_.size() <= cfg_.drain_low_watermark) {
     set_draining(false);
@@ -418,52 +438,49 @@ void Controller::dispatch() {
       draining_ ||
       (cfg_.drain == ControllerConfig::DrainPolicy::kOpportunistic &&
        read_age_.empty() && !write_age_.empty());
-  if (issue_writes) {
-    if (static_mapping_) {
-      dispatch_writes_indexed(now);
-    } else {
-      dispatch_writes_exact(now);
-    }
-  }
+  if (issue_writes) dispatch_writes(now);
 
   if (paused_count_ > 0) {
     for (u32 bank = 0; bank < paused_write_.size(); ++bank) {
       if (paused_write_[bank].has_value() && banks_[bank].idle_at(now) &&
           subarrays_[paused_write_[bank]->subarray].idle_at(now) &&
-          !read_waiting_for_subarray(paused_write_[bank]->subarray)) {
+          read_by_sub_[paused_write_[bank]->subarray].empty()) {
         resume_paused(bank);
       }
     }
   }
 }
 
-u32 Controller::read_cursor(u32 sub, bool* hit_out) const {
+u32 Controller::read_cursor(u32 sub, u64 floor, bool* hit_out) const {
   const BucketList& list = read_by_sub_[sub];
-  const u32 head = list.head();
+  u32 first = list.head();
+  while (first != kNilIndex && nodes_[first].req.id <= floor) {
+    first = list.next(nodes_, first);
+  }
   *hit_out = false;
-  if (head == kNilIndex || !cfg_.row_hit_first) return head;
+  if (first == kNilIndex || !cfg_.row_hit_first) return first;
   const u32 bank = sub / map_.subarrays_per_bank();
-  for (u32 id = head; id != kNilIndex; id = list.next(nodes_, id)) {
-    if (row_hit(bank, nodes_[id].req.addr)) {
+  for (u32 id = first; id != kNilIndex; id = list.next(nodes_, id)) {
+    if (row_hit(bank, nodes_[id].phys)) {
       *hit_out = true;
       return id;
     }
   }
-  return head;
+  return first;
 }
 
-u32 Controller::write_cursor(u32 bank, u32 from, Tick now,
+u32 Controller::write_cursor(u32 bank, u32 from, Tick now, u64 floor,
                              bool* hit_out) const {
   const BucketList& list = write_by_bank_[bank];
   u32 first_ready = kNilIndex;
   for (u32 id = from; id != kNilIndex; id = list.next(nodes_, id)) {
-    const Addr addr = nodes_[id].req.addr;  // physical == logical here
-    if (!subarrays_[map_.flat_subarray(addr)].idle_at(now)) continue;
+    const ReqNode& n = nodes_[id];
+    if (n.req.id <= floor || !subarrays_[n.sub].idle_at(now)) continue;
     if (!cfg_.row_hit_first) {
       *hit_out = false;
       return id;
     }
-    if (row_hit(bank, addr)) {
+    if (row_hit(bank, n.phys)) {
       *hit_out = true;
       return id;
     }
@@ -473,7 +490,7 @@ u32 Controller::write_cursor(u32 bank, u32 from, Tick now,
   return first_ready;
 }
 
-void Controller::dispatch_reads_indexed(Tick now) {
+void Controller::dispatch_reads(Tick now) {
   // Issue every ready read in age order. Within one dispatch, issuing
   // only occupies the issuing subarray (the ready set shrinks
   // monotonically) and the space callback can only append younger
@@ -483,18 +500,38 @@ void Controller::dispatch_reads_indexed(Tick now) {
   //
   // The outer loop always re-collects (new arrivals during the batch are
   // younger than every batch element, so they issue strictly after it —
-  // on the next pass) and terminates on an empty collection; the common
-  // tail is one empty bitmap scan. Two cases additionally cut a batch
-  // short to force the fresh pass early: a zero-latency service leaves
-  // the issued subarray ready with a new head, and under row-hit-first a
-  // younger arrival can outrank queued misses.
+  // on the next pass) and terminates on a pass without progress; the
+  // common tail is one empty bitmap scan. Two cases additionally cut a
+  // batch short to force the fresh pass early: a zero-latency service
+  // leaves the issued subarray ready with a new head, and under
+  // row-hit-first a younger arrival can outrank queued misses.
+  //
+  // Write pausing adds the one step that frees a resource: the oldest
+  // read of a busy subarray asks its bank's write to pause, at that
+  // read's age position. A pause whose boundary is `now` frees the
+  // subarray mid-round. An age-ordered sweep has already passed that
+  // read, so it and anything older on the subarray stay ineligible this
+  // round (a per-subarray age floor); younger reads there may issue, and
+  // the pass ends early so they are collected.
+  struct SubFloor {
+    u32 sub;
+    u64 id;
+  };
+  InlineVec<SubFloor, 4> floors;
+  const auto floor_of = [&](u32 sub) {
+    for (const SubFloor& f : floors) {
+      if (f.sub == sub) return f.id;
+    }
+    return u64{0};
+  };
   for (;;) {
     read_ready_.clear();
     bitmap_for_each(subs_with_reads_, [&](u32 sub) {
-      if (!subarrays_[sub].idle_at(now)) return;
+      const bool idle = subarrays_[sub].idle_at(now);
+      if (!idle && !cfg_.write_pausing) return;
       bool hit = false;
-      const u32 id = read_cursor(sub, &hit);
-      if (id != kNilIndex) read_ready_.push_back({id, sub, hit});
+      const u32 id = read_cursor(sub, floor_of(sub), &hit);
+      if (id != kNilIndex) read_ready_.push_back({id, sub, hit, !idle});
     });
     if (read_ready_.empty()) break;
     std::sort(read_ready_.begin(), read_ready_.end(),
@@ -505,69 +542,66 @@ void Controller::dispatch_reads_indexed(Tick now) {
     // PALP holds reads back at issue time (a skipped cursor stays linked
     // and is re-collected next pass), so a pass that admits nothing must
     // terminate the loop — the stalled reads re-arm on the pump-unload
-    // completion's dispatch.
-    bool issued_any = false;
+    // completion's dispatch. A failed pause request has no side effects,
+    // so re-collecting it is harmless.
+    bool progressed = false;
     for (const ReadCursor& cur : read_ready_) {
       const u32 sub = cur.sub;
-      if (palp_on_) {
-        const u32 bank = sub / map_.subarrays_per_bank();
-        if (!palp_read_admissible(bank, now)) {
-          note_palp_stall(bank, now);
-          continue;
+      const u32 bank = sub / map_.subarrays_per_bank();
+      if (cur.pause) {
+        if (try_pause(bank, sub) && subarrays_[sub].idle_at(now)) {
+          floors.push_back({sub, nodes_[cur.node].req.id});
+          progressed = true;
+          break;
         }
+        continue;
+      }
+      if (palp_on_ && !palp_read_admissible(bank, now)) {
+        note_palp_stall(bank, now);
+        continue;
       }
       unlink_read(cur.node);
       issue_read(take_node(cur.node));
-      issued_any = true;
+      progressed = true;
       notify_space();
       if (cfg_.row_hit_first || subarrays_[sub].idle_at(now)) break;
     }
-    if (!issued_any) break;
+    if (!progressed) break;
   }
 }
 
-void Controller::dispatch_reads_exact(Tick now) {
-  u32 id = read_age_.head();
-  while (id != kNilIndex) {
-    const u32 nxt = read_age_.next(nodes_, id);
-    const Addr phys = physical_of(nodes_[id].req.addr);
-    const u32 subarray = eff_sub(phys);
-    if (subarrays_[subarray].idle_at(now)) {
-      if (palp_on_ && !palp_read_admissible(eff_bank(phys), now)) {
-        // Partition free but the pump's read-while-write cap is spent:
-        // the read waits for a completion to re-trigger dispatch.
-        note_palp_stall(eff_bank(phys), now);
-      } else {
-        unlink_read(id);
-        issue_read(take_node(id));
-        notify_space();
-      }
-    } else if (cfg_.write_pausing) {
-      try_pause(eff_bank(phys), subarray);
-    }
-    id = nxt;
-  }
-}
-
-void Controller::dispatch_writes_indexed(Tick now) {
+void Controller::dispatch_writes(Tick now) {
   // One cursor per ready bank (idle, unpaused, non-empty bucket), then a
   // k-way min-selection by age. Issuing on one bank never invalidates
   // another bank's cursor within a dispatch — distinct banks own
   // disjoint subarrays — so only the issuing bank's cursor is refreshed.
+  //
+  // A gap move is the exception: it relocates a queued line and occupies
+  // the migration's bank. An age-ordered sweep never revisits a write it
+  // has passed, so after a single write whose issue moved the gap only
+  // younger writes stay eligible this round (`floor`) and every cursor is
+  // re-derived. After a batch the sweep restarts from the oldest write
+  // (the reference's `begin()` restart), so the floor drops back to zero.
   struct Cursor {
     u32 node;
     u32 bank;
     bool hit;
   };
   InlineVec<Cursor, 64> ready;
-  bitmap_for_each(banks_with_writes_, [&](u32 bank) {
-    if (!bank_ready_for_write(bank, now) || paused_write_[bank].has_value()) {
-      return;
-    }
-    bool hit = false;
-    const u32 id = write_cursor(bank, write_by_bank_[bank].head(), now, &hit);
-    if (id != kNilIndex) ready.push_back({id, bank, hit});
-  });
+  u64 floor = 0;  // writes with id <= floor are ineligible this round
+  const auto collect = [&] {
+    ready.clear();
+    bitmap_for_each(banks_with_writes_, [&](u32 bank) {
+      if (!bank_ready_for_write(bank, now) || paused_write_[bank].has_value()) {
+        return;
+      }
+      bool hit = false;
+      const u32 id =
+          write_cursor(bank, write_by_bank_[bank].head(), now, floor, &hit);
+      if (id != kNilIndex) ready.push_back({id, bank, hit});
+    });
+  };
+  collect();
 
   while (!ready.empty()) {
     // The strict policy stops the sweep the moment draining clears.
@@ -588,6 +622,8 @@ void Controller::dispatch_writes_indexed(Tick now) {
     ready.pop_back();
 
     const u32 bank = cur.bank;
+    const u64 issued_id = nodes_[cur.node].req.id;
+    const u64 gap_moves_before = c_gap_moves_.value();
     u32 resume_from = kNilIndex;
     // A multi-line batch packs against the full bank budget, so under
     // PALP it needs the pump exclusively; while partition writes are
@@ -599,12 +635,13 @@ void Controller::dispatch_writes_indexed(Tick now) {
       // Batch formation walks only this bank's list: the candidate plus
       // its same-bank successors up to the batch limit, irrespective of
       // subarray state (matching the reference gather, which filters the
-      // global queue by bank only). Under PALP the gather is
-      // spread-first: prefer lines in distinct partitions (overlap-
-      // friendly schedules leave the other partitions' sense amps free
-      // for reads), then fill the remainder in age order.
+      // global queue by bank only). Under PALP the gather is spread-first:
+      // prefer lines in distinct partitions (overlap-friendly schedules
+      // leave the other partitions' sense amps free for reads), then fill
+      // the remainder in age order. Start-Gap and stuck-bank runs keep
+      // the age-order gather they were modeled with.
       std::vector<MemoryRequest> batch;
-      if (palp_on_) {
+      if (palp_on_ && !cfg_.wear_leveling && !fault_remap_) {
         const u32 spb = map_.subarrays_per_bank();
         const u32 sub_base = bank * spb;
         InlineVec<u32, 64> chosen;
@@ -614,7 +651,7 @@ void Controller::dispatch_writes_indexed(Tick now) {
         for (u32 id = cur.node;
              id != kNilIndex && chosen.size() < cfg_.write_batch;
              id = write_by_bank_[bank].next(nodes_, id)) {
-          const u32 local = map_.flat_subarray(nodes_[id].req.addr) - sub_base;
+          const u32 local = nodes_[id].sub - sub_base;
           if (bitmap_test(smask, local)) continue;
           bitmap_set(smask, local);
           chosen.push_back(id);
@@ -669,6 +706,12 @@ void Controller::dispatch_writes_indexed(Tick now) {
       set_draining(false);
     }
 
+    if (c_gap_moves_.value() != gap_moves_before ||
+        (can_batch && floor != 0)) {
+      floor = can_batch ? 0 : issued_id;
+      collect();
+      continue;
+    }
     // Normally the bank is now busy until the service completes and it
     // drops out of this round. A zero-latency service plan (e.g. a
     // preset scheme with no RESETs pending) leaves it idle, in which
@@ -685,60 +728,10 @@ void Controller::dispatch_writes_indexed(Tick now) {
           cfg_.row_hit_first ? write_by_bank_[bank].head() : resume_from;
       if (from != kNilIndex) {
         bool hit = false;
-        const u32 id = write_cursor(bank, from, now, &hit);
+        const u32 id = write_cursor(bank, from, now, floor, &hit);
         if (id != kNilIndex) ready.push_back({id, bank, hit});
       }
     }
-  }
-}
-
-void Controller::dispatch_writes_exact(Tick now) {
-  u32 id = write_age_.head();
-  while (id != kNilIndex) {
-    if (!draining_ &&
-        cfg_.drain != ControllerConfig::DrainPolicy::kOpportunistic) {
-      break;
-    }
-    u32 nxt = write_age_.next(nodes_, id);
-    const Addr phys_w = physical_of(nodes_[id].req.addr);
-    const u32 bank = eff_bank(phys_w);
-    const u32 subarray_w = eff_sub(phys_w);
-    if (bank_ready_for_write(bank, now) &&
-        subarrays_[subarray_w].idle_at(now) &&
-        !paused_write_[bank].has_value()) {
-      unlink_write(id);
-      MemoryRequest req = take_node(id);
-      if (cfg_.write_batch > 1 &&
-          (!palp_on_ || pumps_[bank].can_admit_exclusive())) {
-        std::vector<MemoryRequest> batch;
-        batch.push_back(std::move(req));
-        u32 scan = nxt;
-        while (scan != kNilIndex && batch.size() < cfg_.write_batch) {
-          const u32 snxt = write_age_.next(nodes_, scan);
-          if (eff_bank(physical_of(nodes_[scan].req.addr)) == bank) {
-            unlink_write(scan);
-            batch.push_back(take_node(scan));
-          }
-          scan = snxt;
-        }
-        if (batch.size() > 1) {
-          issue_write_batch(std::move(batch));
-        } else {
-          issue_write(std::move(batch.front()));
-        }
-        // Legacy restart (reference: `it = write_q_.begin()` after the
-        // batch erase): gap moves triggered by the issue can remap older
-        // skipped entries onto now-idle banks, so rescan from the head.
-        nxt = write_age_.head();
-      } else {
-        issue_write(std::move(req));
-      }
-      notify_space();
-      if (draining_ && write_age_.size() <= cfg_.drain_low_watermark) {
-        set_draining(false);
-      }
-    }
-    id = nxt;
   }
 }
 
@@ -942,14 +935,14 @@ void Controller::issue_read(MemoryRequest req) {
       sim::Priority::kDeviceComplete);
 }
 
-void Controller::issue_write(MemoryRequest req, Tick service_override) {
+void Controller::issue_write(MemoryRequest req) {
   const Tick now = sim_.now();
   const Addr phys = physical_of(req.addr);
   const u32 bank = eff_bank(phys);
   const u32 subarray = eff_sub(phys);
 
-  Tick service = service_override;
-  if (service == 0) {
+  Tick service = 0;
+  {  // plan scope: trace context and brown-out budget of this write only
     note_stuck_remap(phys);
     pcm::LineBuf& line = store_.line(phys);
     // The context hands the analysis stage (packer, FSM expansion) an
@@ -1032,14 +1025,7 @@ void Controller::issue_write(MemoryRequest req, Tick service_override) {
         service, [this, bank, epoch] { complete_palp_write(bank, epoch); },
         sim::Priority::kDeviceComplete);
 
-    if (cfg_.wear_leveling && service_override == 0) {
-      const u64 region = map_.line_index(palp_active_[bank].back().req.addr) /
-                         cfg_.start_gap.region_lines;
-      StartGapLeveler& leveler = leveler_for(region);
-      if (const auto move = leveler.on_write()) {
-        apply_gap_move(region, *move);
-      }
-    }
+    advance_start_gap(palp_active_[bank].back().req.addr);
     return;
   }
 
@@ -1066,14 +1052,7 @@ void Controller::issue_write(MemoryRequest req, Tick service_override) {
       service, [this, bank, epoch] { complete_write(bank, epoch); },
       sim::Priority::kDeviceComplete);
 
-  if (cfg_.wear_leveling && service_override == 0) {
-    const u64 region = map_.line_index(active_write_[bank]->req.addr) /
-                       cfg_.start_gap.region_lines;
-    StartGapLeveler& leveler = leveler_for(region);
-    if (const auto move = leveler.on_write()) {
-      apply_gap_move(region, *move);
-    }
-  }
+  advance_start_gap(active_write_[bank]->req.addr);
 }
 
 void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
@@ -1090,10 +1069,9 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
     const Addr p = physical_of(r.addr);
     TW_ASSERT(eff_bank(p) == bank);
     phys.push_back(p);
-    (void)store_.line(p);
+    lines.push_back(&store_.line(p));  // stable: DataStore never moves lines
     datas.push_back(r.data);
   }
-  for (const Addr p : phys) lines.push_back(&store_.line(p));
 
   trace::ScopedContext tctx(now, bank_track(cfg_.track_base, bank));
   const double bscale = begin_plan_scope(now);
@@ -1152,14 +1130,7 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
     a_write_units_.add(plan.write_units);
     if (plan.power_util > 0.0) a_power_util_.add(plan.power_util);
     note_row_activate(bank, phys[i]);
-
-    if (cfg_.wear_leveling) {
-      const u64 region =
-          map_.line_index(reqs[i].addr) / cfg_.start_gap.region_lines;
-      if (const auto move = leveler_for(region).on_write()) {
-        apply_gap_move(region, *move);
-      }
-    }
+    advance_start_gap(reqs[i].addr);
   }
   end_plan_scope(bscale);
   const Tick batch_service = batch.latency + fault_extra;
@@ -1225,6 +1196,15 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
       sim::Priority::kDeviceComplete);
 }
 
+void Controller::advance_start_gap(Addr logical_line_addr) {
+  if (!cfg_.wear_leveling) return;
+  const u64 region =
+      map_.line_index(logical_line_addr) / cfg_.start_gap.region_lines;
+  if (const auto move = leveler_for(region).on_write()) {
+    apply_gap_move(region, *move);
+  }
+}
+
 void Controller::apply_gap_move(u64 region, const GapMove& move) {
   const u64 n = cfg_.start_gap.region_lines;
   const Addr src = (region * (n + 1) + move.from_physical) * map_.line_bytes();
@@ -1254,6 +1234,9 @@ void Controller::apply_gap_move(u64 region, const GapMove& move) {
   const Tick done_in = start + gap_service - sim_.now();
   sim_.schedule_in(done_in, [this] { schedule_dispatch(); },
                    sim::Priority::kDeviceComplete);
+
+  requeue_moved_line(src, dst);
+  if (verify_index_) check_queue_index();
 }
 
 void Controller::complete_write(u32 bank, u64 epoch) {

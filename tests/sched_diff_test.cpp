@@ -43,6 +43,12 @@ struct StreamShape {
   double write_frac = 0.5;
   u64 num_lines = 256;     ///< footprint in cache lines
   u64 max_gap = ns(120);   ///< uniform inter-arrival gap bound
+  u64 grid = 1;            ///< inter-arrival gaps are multiples of this
+  /// Enqueue same-tick arrivals back to back, before the controller's
+  /// dispatch for the first has run (as a space callback waking several
+  /// cores does). Off: every arrival sees the rounds its predecessors
+  /// triggered.
+  bool bursts = false;
   u32 distinct_words = 8;  ///< small payload alphabet aids coalescing
 };
 
@@ -52,7 +58,7 @@ std::vector<Arrival> make_stream(u64 seed, const StreamShape& shape) {
   evs.reserve(shape.requests);
   Tick t = 0;
   for (u32 i = 0; i < shape.requests; ++i) {
-    t += rng.below(shape.max_gap + 1);
+    t += rng.below(shape.max_gap / shape.grid + 1) * shape.grid;
     Arrival a;
     a.at = t;
     a.write = rng.chance(shape.write_frac);
@@ -83,6 +89,7 @@ struct Observation {
 
   u64 reads = 0, writes = 0, forwarded = 0, coalesced = 0, silent = 0;
   u64 flipped = 0, pauses = 0, gap_moves = 0, batched = 0;
+  u64 gap_requeues = 0;  ///< production-only: queued requests relocated
   u64 batch_issues = 0, batch_packs = 0;
   double batch_lines_sum = 0, batch_lines_max = 0, batch_occupancy_sum = 0;
   double read_lat_sum = 0, write_lat_sum = 0;
@@ -94,7 +101,7 @@ struct Observation {
 template <class ControllerT>
 Observation run_one(const pcm::PcmConfig& pcm_cfg, ControllerConfig ccfg,
                     schemes::SchemeKind kind,
-                    const std::vector<Arrival>& stream) {
+                    const std::vector<Arrival>& stream, bool bursts = false) {
   sim::Simulator sim;
   stats::Registry reg;
   const auto scheme = core::make_scheme(kind, pcm_cfg);
@@ -111,8 +118,10 @@ Observation run_one(const pcm::PcmConfig& pcm_cfg, ControllerConfig ccfg,
   });
 
   const u32 units = pcm_cfg.geometry.units_per_line();
+  Tick last_at = kTickMax;
   for (const Arrival& a : stream) {
-    sim.run(a.at);
+    if (!bursts || a.at != last_at) sim.run(a.at);
+    last_at = a.at;
     MemoryRequest req;
     req.addr = a.addr;
     req.type = a.write ? ReqType::kWrite : ReqType::kRead;
@@ -134,6 +143,7 @@ Observation run_one(const pcm::PcmConfig& pcm_cfg, ControllerConfig ccfg,
   obs.flipped = reg.counter("mem.units_flipped").value();
   obs.pauses = reg.counter("mem.write_pauses").value();
   obs.gap_moves = reg.counter("mem.gap_moves").value();
+  obs.gap_requeues = reg.counter("mem.gap_requeues").value();
   obs.batched = reg.counter("mem.writes_batched").value();
   obs.batch_issues = reg.accumulator("mem.batch_lines").count();
   obs.batch_packs = reg.accumulator("mem.batch_occupancy").count();
@@ -222,9 +232,9 @@ void run_scenario(const Scenario& sc) {
     SCOPED_TRACE(sc.name + " stream_seed=" + std::to_string(stream_seed));
     const auto stream = make_stream(stream_seed, sc.shape);
     const auto idx =
-        run_one<Controller>(pcm_cfg, sc.cfg, sc.kind, stream);
-    const auto ref =
-        run_one<ref::ReferenceController>(pcm_cfg, sc.cfg, sc.kind, stream);
+        run_one<Controller>(pcm_cfg, sc.cfg, sc.kind, stream, sc.shape.bursts);
+    const auto ref = run_one<ref::ReferenceController>(pcm_cfg, sc.cfg, sc.kind,
+                                                       stream, sc.shape.bursts);
     // Guard against vacuous passes: every scenario must complete traffic.
     EXPECT_GT(idx.done.size(), 100u);
     expect_equivalent(idx, ref);
@@ -292,6 +302,60 @@ TEST(SchedDiff, WearLevelingWithBatching) {
   const auto stream = make_stream(0xC0FFEE, sc.shape);
   const auto obs = run_one<Controller>(pcm_cfg, sc.cfg, sc.kind, stream);
   EXPECT_GT(obs.gap_moves, 0u);
+}
+
+TEST(SchedDiff, GapMovesRelocateQueuedRequests) {
+  // A gap move on every write in 16-line regions: lines that are still
+  // queued move to another bank or subarray between dispatch rounds and
+  // within a write round, which the controller must re-index without
+  // changing the linear sweep's issue order.
+  Scenario sc;
+  sc.name = "startgap-every-write-sub4";
+  sc.cfg.wear_leveling = true;
+  sc.cfg.start_gap.region_lines = 16;
+  sc.cfg.start_gap.gap_write_interval = 1;
+  sc.subarrays_per_bank = 4;
+  sc.shape.requests = 1500;
+  sc.shape.write_frac = 0.6;
+  sc.shape.num_lines = 64;  // four regions
+  sc.shape.max_gap = ns(60);
+  run_scenario(sc);
+
+  pcm::PcmConfig pcm_cfg = pcm::table2_config();
+  pcm_cfg.geometry.subarrays_per_bank = sc.subarrays_per_bank;
+  const auto stream = make_stream(0xC0FFEE, sc.shape);
+  const auto obs =
+      run_one<Controller>(pcm_cfg, sc.cfg, sc.kind, stream, sc.shape.bursts);
+  EXPECT_GT(obs.gap_moves, 0u);
+  EXPECT_GT(obs.gap_requeues, 0u);
+}
+
+TEST(SchedDiff, PauseBoundariesLandOnDispatchTicks) {
+  // Arrivals on a 40 ns grid (gaps of 0 or 40 ns, enqueued in bursts)
+  // and a 10 ns pause quantum: reads that arrive while a write issued on
+  // the grid is in service find it at a quantum boundary, so the pause
+  // takes effect at `now` and frees the subarray in the middle of the
+  // read round, with younger reads of the same burst still queued there.
+  Scenario sc;
+  sc.name = "pause-on-grid";
+  sc.cfg.write_pausing = true;
+  sc.cfg.pause_quantum = ns(10);
+  sc.cfg.drain = ControllerConfig::DrainPolicy::kOpportunistic;
+  sc.subarrays_per_bank = 2;
+  sc.shape.requests = 1500;
+  sc.shape.write_frac = 0.5;
+  sc.shape.num_lines = 64;
+  sc.shape.max_gap = ns(40);
+  sc.shape.grid = ns(40);
+  sc.shape.bursts = true;
+  run_scenario(sc);
+
+  pcm::PcmConfig pcm_cfg = pcm::table2_config();
+  pcm_cfg.geometry.subarrays_per_bank = sc.subarrays_per_bank;
+  const auto stream = make_stream(0xC0FFEE, sc.shape);
+  const auto obs =
+      run_one<Controller>(pcm_cfg, sc.cfg, sc.kind, stream, sc.shape.bursts);
+  EXPECT_GT(obs.pauses, 0u);
 }
 
 TEST(SchedDiff, PausingPlusLevelingOpportunistic) {
