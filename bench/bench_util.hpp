@@ -203,6 +203,9 @@ struct BenchBaseline {
   /// Slowdown of the compiled-in-but-disabled tracing path vs. the same
   /// run with emission sites short-circuited (<0 = not measured).
   double trace_overhead_pct = -1.0;
+  /// micro_mem's rate on the Start-Gap + write-pausing cells (<0 = not
+  /// measured).
+  double leveling_events_per_sec = -1.0;
 };
 
 inline void write_bench_json(const std::string& path,
@@ -216,6 +219,10 @@ inline void write_bench_json(const std::string& path,
       << "  \"sim_writes_per_sec\": " << fixed(b.sim_writes_per_sec, 1);
   if (b.trace_overhead_pct >= 0.0) {
     out << ",\n  \"trace_overhead_pct\": " << fixed(b.trace_overhead_pct, 2);
+  }
+  if (b.leveling_events_per_sec >= 0.0) {
+    out << ",\n  \"leveling_events_per_sec\": "
+        << fixed(b.leveling_events_per_sec, 1);
   }
   out << "\n}\n";
   std::cout << "(benchmark baseline written to " << path << ")\n";

@@ -6,11 +6,16 @@
 // queue scans, candidate selection, drain bookkeeping — rather than by
 // request supply (the traffic is generated outside the timed region).
 // The matrix covers queue depths 4/16/64 under a read-dominant (80/20,
-// opportunistic drain) and a write-dominant (20/80, strict drain) mix.
+// opportunistic drain) and a write-dominant (20/80, strict drain) mix,
+// once on the static mapping and once with Start-Gap wear leveling, write
+// pausing and 4 subarrays per bank (the large-line server config's
+// controller features: gap moves re-index queued lines, pauses free
+// subarrays mid-round).
 //
 // Prints scheduling decisions (issued commands) per second for each cell
-// and (with --json) records the aggregate baseline to BENCH_mem.json so
-// the CI bench-smoke job can flag controller-throughput regressions.
+// and (with --json) records both aggregates to BENCH_mem.json
+// (events_per_sec: static cells; leveling_events_per_sec: leveling cells)
+// so the CI bench-smoke job can flag controller-throughput regressions.
 //
 // --reference benches the frozen linear-scan oracle
 // (tests/reference_controller.hpp) instead of the production controller:
@@ -46,8 +51,9 @@ struct MixResult {
 /// stream — and so generation cost stays out of the timed region.
 template <class ControllerT>
 MixResult run_mix(u32 depth, double write_frac, bool strict_drain,
-                  u64 target, u64 seed) {
-  const pcm::PcmConfig pc = pcm::table2_config();
+                  bool leveling, u64 target, u64 seed) {
+  pcm::PcmConfig pc = pcm::table2_config();
+  if (leveling) pc.geometry.subarrays_per_bank = 4;
   const auto scheme = core::make_scheme(schemes::SchemeKind::kDcw, pc);
   sim::Simulator sim;
   stats::Registry reg;
@@ -62,6 +68,11 @@ MixResult run_mix(u32 depth, double write_frac, bool strict_drain,
   // which is exactly the path under measurement.
   cc.write_coalescing = false;
   cc.read_forwarding = false;
+  if (leveling) {
+    cc.wear_leveling = true;
+    cc.start_gap.gap_write_interval = 128;  // configs/server_256b.cfg
+    cc.write_pausing = true;
+  }
   ControllerT ctl(sim, pc, cc, *scheme, reg, seed);
 
   const u32 units = pc.geometry.units_per_line();
@@ -165,30 +176,40 @@ int main(int argc, char** argv) {
   };
   const u32 depths[] = {4, 16, 64};
 
-  u64 total_decisions = 0;
-  double total_ms = 0.0;
-  for (const Cell& mix : mixes) {
-    for (const u32 depth : depths) {
-      const MixResult r =
-          reference
-              ? run_mix<mem::ref::ReferenceController>(
-                    depth, mix.write_frac, mix.strict, target, o.seed)
-              : run_mix<mem::Controller>(depth, mix.write_frac, mix.strict,
-                                         target, o.seed);
-      const double dps =
-          static_cast<double>(r.decisions) / (r.wall_ms / 1000.0);
-      std::printf("%s  depth %2u: %8.1f ms  %12.0f decisions/sec\n",
-                  mix.name, depth, r.wall_ms, dps);
-      total_decisions += r.decisions;
-      total_ms += r.wall_ms;
+  // Runs the six cells with or without leveling; returns the aggregate
+  // decisions/sec and sets `ms` to the cells' total wall time.
+  const auto run_cells = [&](bool leveling, double& ms) {
+    u64 decisions = 0;
+    ms = 0.0;
+    for (const Cell& mix : mixes) {
+      for (const u32 depth : depths) {
+        const MixResult r =
+            reference ? run_mix<mem::ref::ReferenceController>(
+                            depth, mix.write_frac, mix.strict, leveling,
+                            target, o.seed)
+                      : run_mix<mem::Controller>(depth, mix.write_frac,
+                                                 mix.strict, leveling, target,
+                                                 o.seed);
+        const double dps =
+            static_cast<double>(r.decisions) / (r.wall_ms / 1000.0);
+        std::printf("%s  depth %2u: %8.1f ms  %12.0f decisions/sec\n",
+                    mix.name, depth, r.wall_ms, dps);
+        decisions += r.decisions;
+        ms += r.wall_ms;
+      }
     }
-  }
-  const double agg =
-      static_cast<double>(total_decisions) / (total_ms / 1000.0);
-  std::printf("\naggregate:          %10.1f ms  %12.0f decisions/sec\n",
-              total_ms, agg);
+    const double agg = static_cast<double>(decisions) / (ms / 1000.0);
+    std::printf("\naggregate:          %10.1f ms  %12.0f decisions/sec\n\n",
+                ms, agg);
+    return agg;
+  };
+  double total_ms = 0.0;
+  double leveling_ms = 0.0;
+  const double agg = run_cells(false, total_ms);
+  std::printf("Start-Gap + write pausing + 4 subarrays/bank:\n");
+  const double leveling_agg = run_cells(true, leveling_ms);
 
-  std::printf("\ncomponent micros:\n");
+  std::printf("component micros:\n");
   run_component_micros();
 
   if (!o.json_path.empty()) {
@@ -196,11 +217,13 @@ int main(int argc, char** argv) {
     b.bench = "micro_mem";
     b.config = std::string(o.quick ? "quick" : "full") +
                " completions=" + std::to_string(target) +
-               " depths=4/16/64 mixes=r80/w80 seed=" +
+               " depths=4/16/64 mixes=r80/w80 leveling=startgap128+pausing+sub4"
+               " seed=" +
                std::to_string(o.seed) +
                (reference ? " controller=reference" : " controller=indexed");
     b.wall_ms = total_ms;
     b.events_per_sec = agg;  // scheduling decisions per second
+    b.leveling_events_per_sec = leveling_agg;
     b.sim_writes_per_sec = 0.0;
     tw::bench::write_bench_json(o.json_path, b);
   }
