@@ -493,14 +493,14 @@ INSTANTIATE_TEST_SUITE_P(
     AllPairs, EncodeDifferential,
     ::testing::Combine(::testing::ValuesIn(kFiveSchemes),
                        ::testing::ValuesIn(kRealEncoders)),
-    [](const auto& info) {
+    [](const auto& param_info) {
       // gtest parameter names must be purely alphanumeric.
       std::string out = "S";
-      for (const char c : schemes::scheme_name(std::get<0>(info.param))) {
+      for (const char c : schemes::scheme_name(std::get<0>(param_info.param))) {
         if (std::isalnum(static_cast<unsigned char>(c))) out.push_back(c);
       }
       out.push_back('X');
-      out.append(encoder_name(std::get<1>(info.param)));
+      out.append(encoder_name(std::get<1>(param_info.param)));
       return out;
     });
 

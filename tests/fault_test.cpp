@@ -298,7 +298,9 @@ TEST(FaultStuckBank, ProbabilisticStuckIsSeedStable) {
   EXPECT_EQ(a.stuck_banks(), b.stuck_banks());
   for (u32 bank = 0; bank < 16; ++bank) {
     EXPECT_EQ(a.bank_stuck(bank), b.bank_stuck(bank));
-    if (!a.bank_stuck(bank)) EXPECT_EQ(a.remap_bank(bank), bank);
+    if (!a.bank_stuck(bank)) {
+      EXPECT_EQ(a.remap_bank(bank), bank);
+    }
   }
 }
 

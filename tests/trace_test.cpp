@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "tw/fault/fault.hpp"
+#include "tw/harness/config_file.hpp"
 #include "tw/harness/experiment.hpp"
 #include "tw/trace/chrome_sink.hpp"
 #include "tw/trace/emit.hpp"
@@ -419,6 +421,64 @@ TEST(TraceSystemTest, SameSeedTracesAreByteIdentical) {
   EXPECT_EQ(ja, jb);
   std::remove(a.c_str());
   std::remove(b.c_str());
+}
+
+/// FNV-1a over a Chrome trace, skipping the manifest's "version" and
+/// "git_sha" values (they name the build, not the run).
+u64 trace_digest(const std::string& json) {
+  std::string body = json;
+  for (const char* key : {"\"version\":\"", "\"git_sha\":\""}) {
+    const std::size_t at = body.find(key);
+    if (at == std::string::npos) continue;
+    const std::size_t value = at + std::string(key).size();
+    body.erase(value, body.find('"', value) - value);
+  }
+  u64 h = 0xcbf29ce484222325ull;
+  for (const char c : body) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+u64 traced_run_digest(harness::SystemConfig cfg, const char* profile,
+                      const char* file) {
+  const std::string path = temp_path(file);
+  cfg.trace.chrome_path = path;
+  const harness::RunMetrics m = harness::run_system(
+      cfg, workload::profile_by_name(profile), schemes::SchemeKind::kTetris);
+  EXPECT_TRUE(m.completed);
+  EXPECT_GT(m.trace_records, 0u);
+  EXPECT_EQ(m.trace_dropped, 0u);
+  const u64 h = trace_digest(slurp(path));
+  std::remove(path.c_str());
+  return h;
+}
+
+// Pins the whole record stream, not only run-to-run determinism: a
+// controller change that reorders same-tick records (issue, charge,
+// completion, brown-out, pause) changes the digest. A deliberate trace
+// change re-records the value printed by the failure.
+TEST(TraceSystemTest, ControllerTraceStreamIsPinned) {
+  harness::SystemConfig palp;
+  palp.cores = 2;
+  palp.instructions_per_core = 200'000;
+  palp.pcm.geometry.subarrays_per_bank = 4;
+  palp.controller.palp.enabled = true;
+  palp.fault = fault::profile_config(fault::FaultProfile::kHeavy);
+  palp.encode.kind = encode::EncoderKind::kCoset;
+  palp.batch.max_lines = 4;
+  const u64 palp_digest =
+      traced_run_digest(palp, "vips", "tw_trace_palp.json");
+  EXPECT_EQ(palp_digest, 0x2bca92b21b8a393aull)
+      << std::hex << "digest 0x" << palp_digest;
+
+  harness::SystemConfig server =
+      harness::load_system_config(TW_CONFIGS_DIR "/server_256b.cfg");
+  server.instructions_per_core = 100'000;
+  const u64 server_digest =
+      traced_run_digest(server, "vips", "tw_trace_server.json");
+  EXPECT_EQ(server_digest, 0xfd3878dbc05e01b0ull)
+      << std::hex << "digest 0x" << server_digest;
 }
 
 TEST(TraceSystemTest, CategoryMaskNarrowsSystemTrace) {
