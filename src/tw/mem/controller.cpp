@@ -74,10 +74,9 @@ Controller::Controller(sim::Simulator& sim, const pcm::PcmConfig& pcm_cfg,
       banks_with_writes_((map_.total_banks() + 63) / 64, 0),
       verify_index_(verify_env_enabled()),
       open_row_(map_.total_banks()),
-      active_write_(map_.total_banks()),
+      live_writes_(map_.total_banks()),
       paused_write_(map_.total_banks()),
       bank_epoch_(map_.total_banks(), 0),
-      palp_active_(map_.total_banks()),
       palp_on_(cfg.palp.enabled && pcm_cfg.geometry.subarrays_per_bank > 1),
       c_reads_(registry.counter("mem.reads")),
       c_writes_(registry.counter("mem.writes")),
@@ -125,9 +124,7 @@ Controller::Controller(sim::Simulator& sim, const pcm::PcmConfig& pcm_cfg,
                        });
   }
   read_ready_.reserve(map_.total_subarrays());
-  if (palp_on_) {
-    for (auto& v : palp_active_) v.reserve(cfg_.palp.write_ways);
-  }
+  for (auto& v : live_writes_) v.reserve(palp_on_ ? cfg_.palp.write_ways : 1);
 }
 
 // -- Node plumbing --------------------------------------------------------
@@ -749,11 +746,14 @@ void Controller::note_stuck_remap(Addr phys) {
   }
 }
 
-double Controller::begin_plan_scope(Tick now) {
-  if (fault_ == nullptr) return 1.0;
-  const double factor = fault_->budget_factor(now);
-  if (factor != 1.0) {
-    scheme_.set_budget_scale(factor);
+double Controller::begin_plan_scope(Tick now, u32 ways) {
+  // A partition write plans against its share of the pump. `ways` is the
+  // nominal divisor even when brown-out shrinks the admission allowance,
+  // so the worst-case concurrent draw stays within brownout * budget.
+  const double brownout = fault_ != nullptr ? fault_->budget_factor(now) : 1.0;
+  const double factor = brownout / static_cast<double>(ways);
+  if (factor != 1.0) scheme_.set_budget_scale(factor);
+  if (brownout != 1.0) {
     c_brownout_writes_.inc();
     if (trace::on<kFaultCat>()) {
       trace::emit_instant(kFaultCat, trace::Op::kBrownoutWrite, fault_track(cfg_.track_base),
@@ -804,54 +804,6 @@ void Controller::note_palp_stall(u32 bank, Tick now) {
                         pumps_[bank].rww_reads(),
                         pumps_[bank].active_writes());
   }
-}
-
-double Controller::begin_palp_plan_scope(Tick now) {
-  // A partition write plans against its share of the pump: the brown-out
-  // factor (if any) divided across the configured write ways. write_ways
-  // is the nominal divisor even when brown-out shrinks the admission
-  // allowance, so the worst-case concurrent draw stays within
-  // factor * budget.
-  double factor = 1.0;
-  if (fault_ != nullptr) {
-    factor = fault_->budget_factor(now);
-    if (factor != 1.0) c_brownout_writes_.inc();
-  }
-  const bool brownout = factor != 1.0;
-  factor /= static_cast<double>(cfg_.palp.write_ways);
-  if (factor != 1.0) scheme_.set_budget_scale(factor);
-  if (brownout && trace::on<kFaultCat>()) {
-    trace::emit_instant(kFaultCat, trace::Op::kBrownoutWrite,
-                        fault_track(cfg_.track_base), now,
-                        scheme_.effective_budget(),
-                        pcm_.bank_power_budget());
-  }
-  return factor;
-}
-
-void Controller::complete_palp_write(u32 bank, u64 epoch) {
-  auto& live = palp_active_[bank];
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (live[i].epoch != epoch) continue;
-    MemoryRequest req = std::move(live[i].req);
-    const Tick service = live[i].service;
-    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-    pumps_[bank].end_write();
-    --inflight_;
-    if (trace::on<kCat>()) {
-      trace::emit_instant(kCat, trace::Op::kWriteComplete,
-                          bank_track(cfg_.track_base, bank), sim_.now(),
-                          req.id, service);
-    }
-    req.complete_tick = sim_.now();
-    const double lat_ns = to_ns(req.complete_tick - req.enqueue_tick);
-    a_write_latency_.add(lat_ns);
-    h_write_latency_.add(static_cast<u64>(lat_ns));
-    if (on_write_) on_write_(req);
-    schedule_dispatch();
-    return;
-  }
-  TW_FAIL("PALP completion epoch not found");
 }
 
 Tick Controller::apply_line_faults(Addr phys,
@@ -935,6 +887,37 @@ void Controller::issue_read(MemoryRequest req) {
       sim::Priority::kDeviceComplete);
 }
 
+Tick Controller::charge_write(Addr phys, u32 bank,
+                              const schemes::ServicePlan& plan, Tick now) {
+  c_writes_.inc();
+  if (plan.silent) c_silent_.inc();
+  c_flipped_units_.inc(plan.flipped_units);
+  if (plan.enc.active) {
+    c_enc_writes_.inc();
+    c_enc_coded_units_.inc(plan.enc.coded_units);
+    c_enc_tag_bits_.inc(plan.enc.tag_bits);
+    if (trace::on<kEncodeCat>()) {
+      trace::emit_instant(kEncodeCat, trace::Op::kEncodeLine,
+                          encode_track(cfg_.track_base, bank), now,
+                          plan.enc.coded_units, plan.enc.tag_bits);
+    }
+  }
+  energy_.add_write(plan.programmed);
+  if (plan.background.total() > 0) {
+    energy_.add_write(plan.background);
+    wear_.record(phys, plan.background);
+  }
+  if (plan.read_before_write) {
+    energy_.add_read(store_.units_per_line() * pcm_.geometry.data_unit_bits);
+  }
+  wear_.record(phys, plan.programmed);
+  const Tick retry = apply_line_faults(phys, plan);
+  a_write_units_.add(plan.write_units);
+  if (plan.power_util > 0.0) a_power_util_.add(plan.power_util);
+  note_row_activate(bank, phys);
+  return retry;
+}
+
 void Controller::issue_write(MemoryRequest req) {
   const Tick now = sim_.now();
   const Addr phys = physical_of(req.addr);
@@ -954,56 +937,32 @@ void Controller::issue_write(MemoryRequest req) {
     // divides the budget across the pump's write ways, since other
     // partitions may start drawing while this write is in flight.
     const double bscale =
-        palp_on_ ? begin_palp_plan_scope(now) : begin_plan_scope(now);
+        begin_plan_scope(now, palp_on_ ? cfg_.palp.write_ways : 1);
     const schemes::ServicePlan plan = scheme_.plan_write(line, req.data);
-    service = plan.latency;
-
-    c_writes_.inc();
-    if (plan.silent) c_silent_.inc();
-    c_flipped_units_.inc(plan.flipped_units);
-    if (plan.enc.active) {
-      c_enc_writes_.inc();
-      c_enc_coded_units_.inc(plan.enc.coded_units);
-      c_enc_tag_bits_.inc(plan.enc.tag_bits);
-      if (trace::on<kEncodeCat>()) {
-        trace::emit_instant(kEncodeCat, trace::Op::kEncodeLine,
-                            encode_track(cfg_.track_base, bank), now,
-                            plan.enc.coded_units, plan.enc.tag_bits);
-      }
-    }
-    energy_.add_write(plan.programmed);
-    if (plan.background.total() > 0) {
-      energy_.add_write(plan.background);
-      wear_.record(phys, plan.background);
-    }
-    if (plan.read_before_write) {
-      energy_.add_read(store_.units_per_line() * pcm_.geometry.data_unit_bits);
-    }
-    wear_.record(phys, plan.programmed);
-    service += apply_line_faults(phys, plan);
+    service = plan.latency + charge_write(phys, bank, plan, now);
     end_plan_scope(bscale);
-    a_write_units_.add(plan.write_units);
-    a_write_service_.add(to_ns(service));
-    if (plan.power_util > 0.0) a_power_util_.add(plan.power_util);
-    note_row_activate(bank, phys);
   }
+  a_write_service_.add(to_ns(service));
 
+  // The one fork is bank occupancy. A pausable write holds the whole
+  // bank; a partition write's interval may overlap other partitions'
+  // writes, which the pump admitted as further ways.
   if (palp_on_) {
-    // Partition write: the bank interval may overlap other partitions'
-    // writes (the pump admitted this way); completion is keyed by epoch
-    // in the per-bank in-flight list instead of the single active slot.
     banks_[bank].occupy_overlapping(now, service);
-    subarrays_[subarray].occupy(now, service);
-    ++inflight_;
+  } else {
+    banks_[bank].occupy(now, service);
+  }
+  subarrays_[subarray].occupy(now, service);
+  ++inflight_;
+  if (trace::on<kCat>()) {
+    trace::emit_span(kCat, trace::Op::kWriteService, bank_track(cfg_.track_base, bank), now,
+                     service, req.id);
+  }
+  if (palp_on_) {
     pcm::ChargePump& pump = pumps_[bank];
     const bool overlapped = pump.active_writes() > 0;
     pump.begin_write();
     if (overlapped) c_palp_write_overlaps_.inc();
-    if (trace::on<kCat>()) {
-      trace::emit_span(kCat, trace::Op::kWriteService,
-                       bank_track(cfg_.track_base, bank), now, service,
-                       req.id);
-    }
     if (trace::on<kPalpCat>()) {
       trace::emit_span(kPalpCat, trace::Op::kPalpWriteSpan,
                        palp_track(cfg_.track_base, bank), now, service,
@@ -1014,30 +973,16 @@ void Controller::issue_write(MemoryRequest req) {
                             pump.active_writes());
       }
     }
-    const u64 epoch = ++bank_epoch_[bank];
-    PalpWrite pw;
-    pw.req = std::move(req);
-    pw.epoch = epoch;
-    pw.service = service;
-    pw.subarray = subarray;
-    palp_active_[bank].push_back(std::move(pw));
-    sim_.schedule_in(
-        service, [this, bank, epoch] { complete_palp_write(bank, epoch); },
-        sim::Priority::kDeviceComplete);
-
-    advance_start_gap(palp_active_[bank].back().req.addr);
-    return;
   }
+  const Addr logical = req.addr;
+  start_write(bank, subarray, std::move(req), service);
+  advance_start_gap(logical);
+}
 
-  banks_[bank].occupy(now, service);
-  subarrays_[subarray].occupy(now, service);
-  ++inflight_;
-  if (trace::on<kCat>()) {
-    trace::emit_span(kCat, trace::Op::kWriteService, bank_track(cfg_.track_base, bank), now,
-                     service, req.id);
-  }
-
-  TW_ASSERT(!active_write_[bank].has_value());
+void Controller::start_write(u32 bank, u32 subarray, MemoryRequest req,
+                             Tick service) {
+  TW_ASSERT(palp_on_ || live_writes_[bank].empty());
+  const Tick now = sim_.now();
   const u64 epoch = ++bank_epoch_[bank];
   ActiveWrite active;
   active.req = std::move(req);
@@ -1046,13 +991,10 @@ void Controller::issue_write(MemoryRequest req) {
   active.epoch = epoch;
   active.service = service;
   active.subarray = subarray;
-  active_write_[bank] = std::move(active);
-
+  live_writes_[bank].push_back(std::move(active));
   sim_.schedule_in(
       service, [this, bank, epoch] { complete_write(bank, epoch); },
       sim::Priority::kDeviceComplete);
-
-  advance_start_gap(active_write_[bank]->req.addr);
 }
 
 void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
@@ -1074,7 +1016,7 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
   }
 
   trace::ScopedContext tctx(now, bank_track(cfg_.track_base, bank));
-  const double bscale = begin_plan_scope(now);
+  const double bscale = begin_plan_scope(now, 1);
   // Under PALP the scheme sees which partition each line lands in, so
   // partition-aware packers can record (and tests can assert on) the
   // spread the controller's gather produced.
@@ -1101,35 +1043,9 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
   // sub-requests of every member line run on the shared charge pump.
   Tick fault_extra = 0;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const schemes::ServicePlan& plan = batch.per_line[i];
     note_stuck_remap(phys[i]);
-    c_writes_.inc();
     c_batched_.inc();
-    if (plan.silent) c_silent_.inc();
-    c_flipped_units_.inc(plan.flipped_units);
-    if (plan.enc.active) {
-      c_enc_writes_.inc();
-      c_enc_coded_units_.inc(plan.enc.coded_units);
-      c_enc_tag_bits_.inc(plan.enc.tag_bits);
-      if (trace::on<kEncodeCat>()) {
-        trace::emit_instant(kEncodeCat, trace::Op::kEncodeLine,
-                            encode_track(cfg_.track_base, bank), now,
-                            plan.enc.coded_units, plan.enc.tag_bits);
-      }
-    }
-    energy_.add_write(plan.programmed);
-    if (plan.background.total() > 0) {
-      energy_.add_write(plan.background);
-      wear_.record(phys[i], plan.background);
-    }
-    if (plan.read_before_write) {
-      energy_.add_read(store_.units_per_line() * pcm_.geometry.data_unit_bits);
-    }
-    wear_.record(phys[i], plan.programmed);
-    fault_extra += apply_line_faults(phys[i], plan);
-    a_write_units_.add(plan.write_units);
-    if (plan.power_util > 0.0) a_power_util_.add(plan.power_util);
-    note_row_activate(bank, phys[i]);
+    fault_extra += charge_write(phys[i], bank, batch.per_line[i], now);
     advance_start_gap(reqs[i].addr);
   }
   end_plan_scope(bscale);
@@ -1184,13 +1100,7 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
       [this, bank, reqs = std::move(reqs)]() mutable {
         --inflight_;
         if (palp_on_) pumps_[bank].end_exclusive();
-        for (auto& r : reqs) {
-          r.complete_tick = sim_.now();
-          const double lat_ns = to_ns(r.complete_tick - r.enqueue_tick);
-          a_write_latency_.add(lat_ns);
-          h_write_latency_.add(static_cast<u64>(lat_ns));
-          if (on_write_) on_write_(r);
-        }
+        for (auto& r : reqs) finish_write(r);
         schedule_dispatch();
       },
       sim::Priority::kDeviceComplete);
@@ -1212,7 +1122,7 @@ void Controller::apply_gap_move(u64 region, const GapMove& move) {
 
   const pcm::LogicalLine content = store_.read_logical(src);
   pcm::LineBuf& dst_line = store_.line(dst);
-  const double bscale = begin_plan_scope(sim_.now());
+  const double bscale = begin_plan_scope(sim_.now(), 1);
   const schemes::ServicePlan plan = scheme_.plan_write(dst_line, content);
   energy_.add_write(plan.programmed);
   wear_.record(dst, plan.programmed);
@@ -1240,50 +1150,64 @@ void Controller::apply_gap_move(u64 region, const GapMove& move) {
 }
 
 void Controller::complete_write(u32 bank, u64 epoch) {
-  auto& active = active_write_[bank];
-  if (!active.has_value() || active->epoch != epoch) return;
-
-  MemoryRequest req = std::move(active->req);
+  auto& live = live_writes_[bank];
+  const auto it =
+      std::find_if(live.begin(), live.end(),
+                   [epoch](const ActiveWrite& w) { return w.epoch == epoch; });
+  if (it == live.end()) {
+    // The event of a write that was paused since; PALP never pauses.
+    TW_ASSERT(!palp_on_);
+    return;
+  }
+  MemoryRequest req = std::move(it->req);
+  const Tick service = it->service;
+  live.erase(it);
+  if (palp_on_) pumps_[bank].end_write();
+  --inflight_;
   if (trace::on<kCat>()) {
     trace::emit_instant(kCat, trace::Op::kWriteComplete, bank_track(cfg_.track_base, bank),
-                        sim_.now(), req.id, active->service);
+                        sim_.now(), req.id, service);
   }
-  active.reset();
-  --inflight_;
+  finish_write(req);
+  schedule_dispatch();
+}
+
+void Controller::finish_write(MemoryRequest& req) {
   req.complete_tick = sim_.now();
   const double lat_ns = to_ns(req.complete_tick - req.enqueue_tick);
   a_write_latency_.add(lat_ns);
   h_write_latency_.add(static_cast<u64>(lat_ns));
   if (on_write_) on_write_(req);
-  schedule_dispatch();
 }
 
 bool Controller::try_pause(u32 bank, u32 wanted_subarray) {
-  auto& active = active_write_[bank];
-  if (!active.has_value() || paused_write_[bank].has_value()) return false;
-  if (active->subarray != wanted_subarray) return false;
-  if (banks_[bank].free_at() != active->end) return false;
-  if (subarrays_[active->subarray].free_at() != active->end) return false;
+  // Pausing excludes PALP, so a pausable bank has at most one live write.
+  auto& live = live_writes_[bank];
+  if (live.empty() || paused_write_[bank].has_value()) return false;
+  ActiveWrite& active = live.front();
+  if (active.subarray != wanted_subarray) return false;
+  if (banks_[bank].free_at() != active.end) return false;
+  if (subarrays_[active.subarray].free_at() != active.end) return false;
 
   const Tick now = sim_.now();
-  const Tick elapsed = now - active->start;
+  const Tick elapsed = now - active.start;
   const Tick boundary =
-      active->start +
+      active.start +
       ceil_div(elapsed, cfg_.pause_quantum) * cfg_.pause_quantum;
-  if (boundary >= active->end) return false;
+  if (boundary >= active.end) return false;
 
   banks_[bank].preempt(boundary);
-  subarrays_[active->subarray].preempt(boundary);
+  subarrays_[active.subarray].preempt(boundary);
   if (trace::on<kCat>()) {
     trace::emit_instant(kCat, trace::Op::kWritePause, bank_track(cfg_.track_base, bank),
-                        boundary, active->req.id, active->end - boundary);
+                        boundary, active.req.id, active.end - boundary);
   }
   PausedWrite paused;
-  paused.req = std::move(active->req);
-  paused.remaining = active->end - boundary;
-  paused.subarray = active->subarray;
+  paused.req = std::move(active.req);
+  paused.remaining = active.end - boundary;
+  paused.subarray = active.subarray;
   paused_write_[bank] = std::move(paused);
-  active.reset();
+  live.clear();
   ++bank_epoch_[bank];
   ++paused_count_;
   c_pauses_.inc();
@@ -1306,19 +1230,7 @@ void Controller::resume_paused(u32 bank) {
     trace::emit_instant(kCat, trace::Op::kWriteResume, bank_track(cfg_.track_base, bank), now,
                         paused.req.id, paused.remaining);
   }
-  const u64 epoch = ++bank_epoch_[bank];
-  ActiveWrite active;
-  active.req = std::move(paused.req);
-  active.start = now;
-  active.end = now + paused.remaining;
-  active.epoch = epoch;
-  active.service = paused.remaining;
-  active.subarray = paused.subarray;
-  active_write_[bank] = std::move(active);
-  sim_.schedule_in(
-      paused.remaining,
-      [this, bank, epoch] { complete_write(bank, epoch); },
-      sim::Priority::kDeviceComplete);
+  start_write(bank, paused.subarray, std::move(paused.req), paused.remaining);
 }
 
 void Controller::notify_space() {

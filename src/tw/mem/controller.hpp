@@ -222,7 +222,9 @@ class Controller : public MemoryInterface {
   using AgeList = IndexList<ReqNode, &ReqNode::by_age>;
   using BucketList = IndexList<ReqNode, &ReqNode::by_bucket>;
 
-  /// Bookkeeping for a write currently occupying a bank (pausing).
+  /// A single write in service on a bank: the bank's only write when it
+  /// is pausable, or one of up to palp.write_ways partition writes sharing
+  /// its pump under PALP. The epoch keys the completion event.
   struct ActiveWrite {
     MemoryRequest req;
     Tick start = 0;
@@ -235,15 +237,6 @@ class Controller : public MemoryInterface {
   struct PausedWrite {
     MemoryRequest req;
     Tick remaining = 0;
-    u32 subarray = 0;
-  };
-  /// One partition write in flight under PALP (several may share a bank,
-  /// so the single active_write_ slot does not apply; epochs key the
-  /// completion events).
-  struct PalpWrite {
-    MemoryRequest req;
-    u64 epoch = 0;
-    Tick service = 0;
     u32 subarray = 0;
   };
   /// Last row activated in a bank (closed-row PCM: locality stats and
@@ -293,8 +286,19 @@ class Controller : public MemoryInterface {
   void issue_read(MemoryRequest req);
   void issue_write(MemoryRequest req);
   void issue_write_batch(std::vector<MemoryRequest> reqs);
+  /// Account one planned line write: write, silent, flipped and encoder
+  /// counters, programmed/background/read-before-write energy, wear,
+  /// fault retries, write units, power utilization and the open row.
+  /// Call inside the plan scope (retries see its budget). Returns the
+  /// fault retry latency.
+  Tick charge_write(Addr phys, u32 bank, const schemes::ServicePlan& plan,
+                    Tick now);
+  /// Record a single write entering service for `service` and schedule
+  /// its completion.
+  void start_write(u32 bank, u32 subarray, MemoryRequest req, Tick service);
   void complete_write(u32 bank, u64 epoch);
-  void complete_palp_write(u32 bank, u64 epoch);
+  /// Stamp a serviced write's completion: latency stats and callback.
+  void finish_write(MemoryRequest& req);
 
   // PALP admission. Allowances shrink inside charge-pump brown-out
   // windows (the fault ladder's budget factor scales concurrency the
@@ -307,9 +311,6 @@ class Controller : public MemoryInterface {
   bool bank_ready_for_write(u32 bank, Tick now) const;
   /// Count + trace a read held back by the read-after-write-current cap.
   void note_palp_stall(u32 bank, Tick now);
-  /// Plan scope for a PALP partition write: the brown-out factor divided
-  /// across the pump's write ways. Ended with end_plan_scope().
-  double begin_palp_plan_scope(Tick now);
   bool try_pause(u32 bank, u32 wanted_subarray);
   void resume_paused(u32 bank);
   /// Flip drain mode, emitting a trace record on every transition.
@@ -337,11 +338,12 @@ class Controller : public MemoryInterface {
   }
   /// Count + trace a service redirected off a stuck bank (issue paths).
   void note_stuck_remap(Addr phys);
-  /// Brown-out handling around a scheme plan call: shrink the scheme's
-  /// budget for writes planned inside a brown-out window. Returns the
-  /// factor applied; pass it to end_plan_scope() after the plan (and any
-  /// fault pricing that must see the same budget) completes.
-  double begin_plan_scope(Tick now);
+  /// Budget scope around a scheme plan call: the brown-out factor of
+  /// `now` (if any) divided across `ways` writers sharing the pump (a PALP
+  /// partition write passes palp.write_ways, everything else 1). Returns
+  /// the factor applied; pass it to end_plan_scope() after the plan (and
+  /// any fault pricing that must see the same budget) completes.
+  double begin_plan_scope(Tick now, u32 ways);
   void end_plan_scope(double factor);
   /// Inject transient pulse failures into one planned line write:
   /// verify-and-retry pricing, retry energy/wear, FailedLine surfacing.
@@ -398,16 +400,14 @@ class Controller : public MemoryInterface {
   u32 read_q_peak_ = 0;
   u32 write_q_peak_ = 0;
 
-  // Write pausing state, indexed by flat bank id.
-  std::vector<std::optional<ActiveWrite>> active_write_;
+  // Single writes in service and pausing state, indexed by flat bank id.
+  // A bank holds at most one live write, or palp.write_ways under PALP;
+  // batches are not tracked here (they cannot pause).
+  std::vector<std::vector<ActiveWrite>> live_writes_;
   std::vector<std::optional<PausedWrite>> paused_write_;
   std::vector<u64> bank_epoch_;
   u32 paused_count_ = 0;  ///< banks with a paused write (O(1) idle check)
 
-  /// PALP: concurrent partition writes in flight, per flat bank. Live
-  /// only when palp_on_ (legacy mode keeps the single active_write_
-  /// slot); bounded by palp.write_ways entries per bank.
-  std::vector<std::vector<PalpWrite>> palp_active_;
   /// cfg_.palp.enabled gated on a multi-partition geometry: with one
   /// subarray per bank there is nothing to overlap, and forcing the
   /// legacy path keeps partitions=1 runs bit-identical whatever the
