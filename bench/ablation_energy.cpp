@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
                "(Table I, quantitative)\n"
             << "==========================================================="
                "=============\n"
-            << "(encoder pre-stage: " << encode::encoder_name(o.encoder)
+            << "(encoder pre-stage: " << encode::encoder_name(o.config.encode.kind)
             << ")\n\n";
 
   AsciiTable t;
@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
                            p.initial_ones_fraction);
       workload::TraceGenerator gen(p, cfg.geometry, 1, o.seed + 1);
       const auto scheme =
-          encode::wrap_scheme(core::make_scheme(kind, cfg), o.encoder);
+          encode::wrap_scheme(core::make_scheme(kind, cfg),
+                              o.config.encode.kind);
       if (scheme->transforms_content()) {
         store.set_decoder(
             scheme.get(), [](const void* ctx, const pcm::LineBuf& l) {

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,11 +19,56 @@
 #include "tw/common/parallel.hpp"
 #include "tw/common/strings.hpp"
 #include "tw/common/svg.hpp"
-#include "tw/fault/fault.hpp"
+#include "tw/harness/config_file.hpp"
 #include "tw/harness/figure.hpp"
 #include "tw/trace/record.hpp"
 
 namespace tw::bench {
+
+/// A config flag: an alias that sets config-file keys (see
+/// tw/harness/config_file.hpp). "--x=" hands its value to `key`; a bare
+/// "--x" sets `key` to true.
+struct ConfigFlag {
+  std::string_view flag;
+  std::string_view key;
+  std::string_view enables = {};  ///< a boolean key also set to true
+};
+
+inline constexpr ConfigFlag kConfigFlags[] = {
+    {"--channels=", "pcm.channels"},
+    {"--interleave=", "pcm.channel_interleave"},
+    {"--sim-threads=", "sys.sim_threads"},
+    {"--subarrays=", "pcm.subarrays"},
+    {"--batch-lines=", "batch.max_lines"},
+    {"--palp", "palp.enabled"},
+    {"--palp-ways=", "palp.write_ways"},
+    {"--palp-rww=", "palp.max_rww_reads"},
+    {"--dram", "dram.enabled"},
+    {"--dram-mb=", "dram.capacity_mb", "dram.enabled"},
+    {"--dram-policy=", "dram.policy", "dram.enabled"},
+    {"--encoder=", "encode.kind"},
+    {"--fault-profile=", "fault.profile"},
+};
+
+/// Apply `arg` to `cfg` if it is a config flag; false if it is not one.
+/// A value the key rejects exits 2 with the key's message.
+inline bool apply_config_flag(harness::SystemConfig& cfg,
+                              std::string_view arg) {
+  for (const ConfigFlag& f : kConfigFlags) {
+    const bool takes_value = f.flag.back() == '=';
+    if (takes_value ? !starts_with(arg, f.flag) : arg != f.flag) continue;
+    try {
+      if (!f.enables.empty()) harness::set_config_key(cfg, f.enables, "true");
+      harness::set_config_key(
+          cfg, f.key, takes_value ? arg.substr(f.flag.size()) : "true");
+    } catch (const std::runtime_error& e) {
+      std::cerr << arg << ": " << e.what() << "\n";
+      std::exit(2);
+    }
+    return true;
+  }
+  return false;
+}
 
 /// Command-line options common to all figure binaries.
 struct Options {
@@ -36,20 +82,8 @@ struct Options {
   std::string trace_path;   ///< optional Chrome trace of one traced run
   std::string trace_metrics_path;  ///< optional metrics-snapshot CSV
   u32 trace_categories = trace::kAllCategories;
-  fault::FaultProfile fault_profile = fault::FaultProfile::kNone;
-  u32 batch_lines = 0;  ///< batch.max_lines override (0 = leave default)
-  u32 subarrays = 0;    ///< subarrays/bank override (0 = leave default)
-  bool palp = false;    ///< partition-level parallelism (PALP)
-  u32 palp_ways = 2;    ///< concurrent partition writes per pump
-  u32 palp_rww = 2;     ///< read-after-write-current read cap
-  u32 channels = 1;     ///< memory channels (power of two)
-  pcm::ChannelInterleave interleave = pcm::ChannelInterleave::kLine;
-  u32 sim_threads = 0;  ///< pool-thread cap for the channel phase (0 = all)
-  bool dram = false;    ///< front PCM with the DRAM tier
-  u32 dram_mb = 32;     ///< DRAM capacity in MB (total across channels)
-  mem::DramPolicy dram_policy = mem::DramPolicy::kLru;
-  /// Content-encoder pre-stage in front of every scheme (kNone = off).
-  encode::EncoderKind encoder = encode::EncoderKind::kNone;
+  /// Base of system_config(): Table II defaults plus the config flags.
+  harness::SystemConfig config;
   bool quick = false;
 
   /// Parse the common flags. `own_flags` lists the exact flags the
@@ -59,6 +93,7 @@ struct Options {
     Options o;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
+      if (apply_config_flag(o.config, arg)) continue;
       auto value = [&](const char* prefix) -> const char* {
         return arg.c_str() + std::strlen(prefix);
       };
@@ -81,101 +116,15 @@ struct Options {
         o.trace_path = value("--trace=");
       } else if (starts_with(arg, "--trace-metrics=")) {
         o.trace_metrics_path = value("--trace-metrics=");
-      } else if (starts_with(arg, "--batch-lines=")) {
-        o.batch_lines = static_cast<u32>(
-            std::strtoul(value("--batch-lines="), nullptr, 10));
-      } else if (starts_with(arg, "--subarrays=")) {
-        const u64 n = std::strtoull(value("--subarrays="), nullptr, 10);
-        if (n == 0 || (n & (n - 1)) != 0) {
-          std::cerr << "--subarrays must be a power of two >= 1 (got '"
-                    << value("--subarrays=")
-                    << "'); the row decoder extracts log2(subarrays) "
-                       "address bits\n";
-          std::exit(2);
-        }
-        o.subarrays = static_cast<u32>(n);
-      } else if (arg == "--palp") {
-        o.palp = true;
-      } else if (starts_with(arg, "--palp-ways=")) {
-        o.palp_ways = static_cast<u32>(
-            std::strtoul(value("--palp-ways="), nullptr, 10));
-      } else if (starts_with(arg, "--palp-rww=")) {
-        o.palp_rww = static_cast<u32>(
-            std::strtoul(value("--palp-rww="), nullptr, 10));
-      } else if (starts_with(arg, "--channels=")) {
-        const u64 n = std::strtoull(value("--channels="), nullptr, 10);
-        if (n == 0 || (n & (n - 1)) != 0) {
-          std::cerr << "--channels must be a power of two >= 1 (got '"
-                    << value("--channels=")
-                    << "'); the channel decoder extracts log2(channels) "
-                       "address bits\n";
-          std::exit(2);
-        }
-        o.channels = static_cast<u32>(n);
-      } else if (starts_with(arg, "--interleave=")) {
-        const std::string s = value("--interleave=");
-        if (s == "line") {
-          o.interleave = pcm::ChannelInterleave::kLine;
-        } else if (s == "bank") {
-          o.interleave = pcm::ChannelInterleave::kBank;
-        } else if (s == "row") {
-          o.interleave = pcm::ChannelInterleave::kRow;
-        } else {
-          std::cerr << "--interleave must be line|bank|row (got '" << s
-                    << "')\n";
-          std::exit(2);
-        }
-      } else if (starts_with(arg, "--sim-threads=")) {
-        o.sim_threads = static_cast<u32>(
-            std::strtoul(value("--sim-threads="), nullptr, 10));
-      } else if (arg == "--dram") {
-        o.dram = true;
-      } else if (starts_with(arg, "--dram-mb=")) {
-        const u64 n = std::strtoull(value("--dram-mb="), nullptr, 10);
-        if (n == 0) {
-          std::cerr << "--dram-mb must be >= 1 (got '" << value("--dram-mb=")
-                    << "')\n";
-          std::exit(2);
-        }
-        o.dram = true;
-        o.dram_mb = static_cast<u32>(n);
-      } else if (starts_with(arg, "--dram-policy=")) {
-        const std::string s = value("--dram-policy=");
-        if (s == "lru") {
-          o.dram_policy = mem::DramPolicy::kLru;
-        } else if (s == "mac") {
-          o.dram_policy = mem::DramPolicy::kMac;
-        } else {
-          std::cerr << "--dram-policy must be lru|mac (got '" << s << "')\n";
-          std::exit(2);
-        }
-        o.dram = true;
-      } else if (starts_with(arg, "--encoder=")) {
-        const auto k = encode::parse_encoder(value("--encoder="));
-        if (!k) {
-          std::cerr << "--encoder must be none|flip|wire|coset (got '"
-                    << value("--encoder=") << "')\n";
-          std::exit(2);
-        }
-        o.encoder = *k;
       } else if (starts_with(arg, "--trace-categories=")) {
         o.trace_categories =
             trace::parse_categories(value("--trace-categories="));
-      } else if (starts_with(arg, "--fault-profile=")) {
-        const auto p =
-            fault::parse_fault_profile(value("--fault-profile="));
-        if (!p) {
-          std::cerr << "unknown fault profile '"
-                    << value("--fault-profile=")
-                    << "' (none|light|heavy|stuck-bank)\n";
-          std::exit(2);
-        }
-        o.fault_profile = *p;
       } else if (arg == "--help" || arg == "-h") {
         std::cout << "flags: --quick --ops=N --seed=N --threads=N "
                      "--channels=N --interleave=line|bank|row "
                      "--sim-threads=N "
-                     "--subarrays=N --palp --palp-ways=N --palp-rww=N "
+                     "--subarrays=N --batch-lines=N "
+                     "--palp --palp-ways=N --palp-rww=N "
                      "--dram --dram-mb=N --dram-policy=lru|mac "
                      "--encoder=none|flip|wire|coset "
                      "--csv=PATH --svg=PATH --json=PATH --trace=PATH "
@@ -250,25 +199,12 @@ inline u64 instructions_for(const workload::WorkloadProfile& p,
   return std::min(std::max<u64>(wanted, 20'000), o.max_instructions);
 }
 
-/// The standard Table II system config for one workload under `o`.
+/// The flags' system config for one workload under `o`.
 inline harness::SystemConfig system_config(
     const workload::WorkloadProfile& p, const Options& o) {
-  harness::SystemConfig cfg;
+  harness::SystemConfig cfg = o.config;
   cfg.instructions_per_core = instructions_for(p, o);
   cfg.seed = o.seed;
-  cfg.fault = fault::profile_config(o.fault_profile);
-  cfg.batch.max_lines = o.batch_lines;
-  if (o.subarrays > 0) cfg.pcm.geometry.subarrays_per_bank = o.subarrays;
-  cfg.controller.palp.enabled = o.palp;
-  cfg.controller.palp.write_ways = o.palp_ways;
-  cfg.controller.palp.max_rww_reads = o.palp_rww;
-  cfg.pcm.geometry.channels = o.channels;
-  cfg.pcm.geometry.channel_interleave = o.interleave;
-  cfg.sim_threads = o.sim_threads;
-  cfg.dram.enabled = o.dram;
-  cfg.dram.capacity_bytes = u64{o.dram_mb} * 1024 * 1024;
-  cfg.dram.policy = o.dram_policy;
-  cfg.encode.kind = o.encoder;
   return cfg;
 }
 

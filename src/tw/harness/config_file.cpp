@@ -1,357 +1,360 @@
 #include "tw/harness/config_file.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
-#include <functional>
-#include <map>
-#include <sstream>
+#include <limits>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 #include "tw/common/strings.hpp"
 
 namespace tw::harness {
 namespace {
 
-using Setter = std::function<void(SystemConfig&, const std::string&)>;
+/// The SystemConfig field behind a key. The field's type is the value
+/// kind: integer, bool, double or named enum. A u64 field may instead be
+/// a Tick written in ns or a byte count written in MB (Key::unit). A
+/// FaultConfig field is an alias: the key names a preset that replaces
+/// every fault field, and the writer skips it.
+using Field = std::variant<u32*, u64*, bool*, double*, pcm::ChannelInterleave*,
+                           mem::ControllerConfig::DrainPolicy*,
+                           mem::DramPolicy*, encode::EncoderKind*,
+                           fault::FaultConfig*>;
 
-u64 to_u64(const std::string& v) {
-  std::size_t pos = 0;
-  const u64 out = std::stoull(v, &pos);
-  if (pos != v.size()) throw std::runtime_error("not an integer: " + v);
+enum class Unit : u8 { kPlain, kNs, kMb };
+enum class Rule : u8 { kAny, kPositive, kPowerOfTwo };
+
+struct Key {
+  std::string_view name;
+  Field (*field)(SystemConfig&);
+  Unit unit = Unit::kPlain;
+  Rule rule = Rule::kAny;
+  /// Enum value names, indexed by the enum's value.
+  std::span<const char* const> names = {};
+  /// Why the rule holds; appended to the key's error message.
+  std::string_view why = {};
+};
+
+constexpr const char* kInterleaveNames[] = {"line", "bank", "row"};
+constexpr const char* kDrainNames[] = {"strict", "opportunistic"};
+constexpr const char* kDramPolicyNames[] = {"lru", "mac"};
+constexpr const char* kEncoderNames[] = {"none", "flip", "wire", "coset"};
+
+// Every config-file key, in the order write_system_config emits them.
+const Key kKeys[] = {
+    // -- device timing / power / geometry ---------------------------------
+    {"pcm.t_read_ns",
+     [](SystemConfig& c) -> Field { return &c.pcm.timing.t_read; }, Unit::kNs},
+    {"pcm.t_reset_ns",
+     [](SystemConfig& c) -> Field { return &c.pcm.timing.t_reset; },
+     Unit::kNs},
+    {"pcm.t_set_ns",
+     [](SystemConfig& c) -> Field { return &c.pcm.timing.t_set; }, Unit::kNs},
+    {"pcm.chip_budget",
+     [](SystemConfig& c) -> Field { return &c.pcm.power.chip_budget; }},
+    {"pcm.reset_current_ratio",
+     [](SystemConfig& c) -> Field {
+       return &c.pcm.power.reset_current_ratio_l;
+     }},
+    {"pcm.gcp",
+     [](SystemConfig& c) -> Field { return &c.pcm.power.global_charge_pump; }},
+    {"pcm.chips_per_bank",
+     [](SystemConfig& c) -> Field { return &c.pcm.geometry.chips_per_bank; }},
+    {"pcm.chip_write_bits",
+     [](SystemConfig& c) -> Field { return &c.pcm.geometry.chip_write_bits; }},
+    {"pcm.line_bytes",
+     [](SystemConfig& c) -> Field {
+       return &c.pcm.geometry.cache_line_bytes;
+     }},
+    {"pcm.banks",
+     [](SystemConfig& c) -> Field { return &c.pcm.geometry.banks; }},
+    {"pcm.subarrays",
+     [](SystemConfig& c) -> Field {
+       return &c.pcm.geometry.subarrays_per_bank;
+     },
+     Unit::kPlain, Rule::kPowerOfTwo, {},
+     "the row decoder extracts log2(subarrays) address bits"},
+    {"pcm.channels",
+     [](SystemConfig& c) -> Field { return &c.pcm.geometry.channels; },
+     Unit::kPlain, Rule::kPowerOfTwo, {},
+     "the channel decoder extracts log2(channels) address bits"},
+    {"pcm.channel_interleave",
+     [](SystemConfig& c) -> Field {
+       return &c.pcm.geometry.channel_interleave;
+     },
+     Unit::kPlain, Rule::kAny, kInterleaveNames},
+    // -- controller --------------------------------------------------------
+    {"controller.read_queue",
+     [](SystemConfig& c) -> Field {
+       return &c.controller.read_queue_entries;
+     }},
+    {"controller.write_queue",
+     [](SystemConfig& c) -> Field {
+       return &c.controller.write_queue_entries;
+     }},
+    {"controller.drain",
+     [](SystemConfig& c) -> Field { return &c.controller.drain; },
+     Unit::kPlain, Rule::kAny, kDrainNames},
+    {"controller.drain_low",
+     [](SystemConfig& c) -> Field {
+       return &c.controller.drain_low_watermark;
+     }},
+    {"controller.write_coalescing",
+     [](SystemConfig& c) -> Field { return &c.controller.write_coalescing; }},
+    {"controller.read_forwarding",
+     [](SystemConfig& c) -> Field { return &c.controller.read_forwarding; }},
+    {"controller.write_pausing",
+     [](SystemConfig& c) -> Field { return &c.controller.write_pausing; }},
+    {"controller.wear_leveling",
+     [](SystemConfig& c) -> Field { return &c.controller.wear_leveling; }},
+    {"controller.gap_interval",
+     [](SystemConfig& c) -> Field {
+       return &c.controller.start_gap.gap_write_interval;
+     }},
+    {"controller.gap_region_lines",
+     [](SystemConfig& c) -> Field {
+       return &c.controller.start_gap.region_lines;
+     }},
+    {"controller.write_batch",
+     [](SystemConfig& c) -> Field { return &c.controller.write_batch; }},
+    // -- partition-level parallelism (PALP) ---------------------------------
+    {"palp.enabled",
+     [](SystemConfig& c) -> Field { return &c.controller.palp.enabled; }},
+    {"palp.write_ways",
+     [](SystemConfig& c) -> Field { return &c.controller.palp.write_ways; }},
+    {"palp.max_rww_reads",
+     [](SystemConfig& c) -> Field {
+       return &c.controller.palp.max_rww_reads;
+     }},
+    // -- DRAM front tier -----------------------------------------------------
+    {"dram.enabled", [](SystemConfig& c) -> Field { return &c.dram.enabled; }},
+    {"dram.capacity_mb",
+     [](SystemConfig& c) -> Field { return &c.dram.capacity_bytes; },
+     Unit::kMb},
+    {"dram.ways", [](SystemConfig& c) -> Field { return &c.dram.ways; }},
+    {"dram.policy", [](SystemConfig& c) -> Field { return &c.dram.policy; },
+     Unit::kPlain, Rule::kAny, kDramPolicyNames},
+    {"dram.t_row_hit_ns",
+     [](SystemConfig& c) -> Field { return &c.dram.t_row_hit; }, Unit::kNs},
+    {"dram.t_row_miss_ns",
+     [](SystemConfig& c) -> Field { return &c.dram.t_row_miss; }, Unit::kNs},
+    {"dram.row_lines",
+     [](SystemConfig& c) -> Field { return &c.dram.row_lines; }},
+    {"dram.banks", [](SystemConfig& c) -> Field { return &c.dram.banks; }},
+    {"dram.pending_limit",
+     [](SystemConfig& c) -> Field { return &c.dram.pending_limit; }},
+    {"dram.mac_group",
+     [](SystemConfig& c) -> Field { return &c.dram.mac_group; }},
+    // -- content-encoder pre-stage -----------------------------------------
+    {"encode.kind", [](SystemConfig& c) -> Field { return &c.encode.kind; },
+     Unit::kPlain, Rule::kAny, kEncoderNames},
+    // -- multi-line batch packing -----------------------------------------
+    {"batch.max_lines",
+     [](SystemConfig& c) -> Field { return &c.batch.max_lines; }},
+    // -- cores -------------------------------------------------------------
+    {"core.clock_ps",
+     [](SystemConfig& c) -> Field { return &c.core.clock_period; }},
+    {"core.peak_ipc",
+     [](SystemConfig& c) -> Field { return &c.core.peak_ipc; }},
+    {"core.mlp", [](SystemConfig& c) -> Field { return &c.core.mlp; }},
+    // -- tetris ------------------------------------------------------------
+    {"tetris.analysis_cycles",
+     [](SystemConfig& c) -> Field { return &c.tetris.analysis_cycles; }},
+    {"tetris.forbid_self_overlap",
+     [](SystemConfig& c) -> Field { return &c.tetris.forbid_self_overlap; }},
+    // -- fault injection ----------------------------------------------------
+    {"fault.profile", [](SystemConfig& c) -> Field { return &c.fault; }},
+    {"fault.set_fail_prob",
+     [](SystemConfig& c) -> Field { return &c.fault.set_fail_prob; }},
+    {"fault.reset_fail_prob",
+     [](SystemConfig& c) -> Field { return &c.fault.reset_fail_prob; }},
+    {"fault.max_retries",
+     [](SystemConfig& c) -> Field { return &c.fault.max_retries; }},
+    {"fault.retry_widening",
+     [](SystemConfig& c) -> Field { return &c.fault.retry_widening; }},
+    {"fault.retry_fail_damping",
+     [](SystemConfig& c) -> Field { return &c.fault.retry_fail_damping; }},
+    {"fault.wear_knee",
+     [](SystemConfig& c) -> Field { return &c.fault.wear_knee; }},
+    {"fault.worn_fail_prob",
+     [](SystemConfig& c) -> Field { return &c.fault.worn_fail_prob; }},
+    {"fault.stuck_bank",
+     [](SystemConfig& c) -> Field { return &c.fault.stuck_bank; }},
+    {"fault.stuck_bank_prob",
+     [](SystemConfig& c) -> Field { return &c.fault.stuck_bank_prob; }},
+    {"fault.brownout_period_ns",
+     [](SystemConfig& c) -> Field { return &c.fault.brownout_period; },
+     Unit::kNs},
+    {"fault.brownout_duration_ns",
+     [](SystemConfig& c) -> Field { return &c.fault.brownout_duration; },
+     Unit::kNs},
+    {"fault.brownout_budget_factor",
+     [](SystemConfig& c) -> Field {
+       return &c.fault.brownout_budget_factor;
+     }},
+    // -- xbar / sharded engine ----------------------------------------------
+    {"xbar.latency_ns",
+     [](SystemConfig& c) -> Field { return &c.xbar_latency; }, Unit::kNs,
+     Rule::kPositive, {},
+     "it is also the sharded engine's lockstep quantum"},
+    {"sys.sim_threads",
+     [](SystemConfig& c) -> Field { return &c.sim_threads; }},
+    // -- run ---------------------------------------------------------------
+    {"sys.cores", [](SystemConfig& c) -> Field { return &c.cores; }},
+    {"sys.instructions",
+     [](SystemConfig& c) -> Field { return &c.instructions_per_core; }},
+    {"sys.seed", [](SystemConfig& c) -> Field { return &c.seed; }},
+};
+
+constexpr u64 kMb = u64{1} << 20;
+
+/// Thrown by the value parsers: what the value must be. set_key turns it
+/// into the key's error message.
+struct Expected {
+  std::string what;
+};
+
+u64 parse_uint(std::string_view v, u64 max) {
+  u64 out = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec != std::errc{} || end != v.data() + v.size() || out > max) {
+    throw Expected{"an integer in [0, " + std::to_string(max) + "]"};
+  }
   return out;
 }
 
-double to_double(const std::string& v) {
-  std::size_t pos = 0;
-  const double out = std::stod(v, &pos);
-  if (pos != v.size()) throw std::runtime_error("not a number: " + v);
+double parse_double(std::string_view v) {
+  double out = 0.0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec != std::errc{} || end != v.data() + v.size()) {
+    throw Expected{"a number"};
+  }
   return out;
 }
 
-bool to_bool(const std::string& v) {
+bool parse_bool(std::string_view v) {
   const std::string s = to_lower(v);
   if (s == "true" || s == "1" || s == "on" || s == "yes") return true;
   if (s == "false" || s == "0" || s == "off" || s == "no") return false;
-  throw std::runtime_error("not a boolean: " + v);
+  throw Expected{"a boolean (true|false|on|off|yes|no|1|0)"};
 }
 
-const std::map<std::string, Setter>& setters() {
-  static const std::map<std::string, Setter> kSetters = {
-      // -- device timing / power / geometry -------------------------------
-      {"pcm.t_read_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.timing.t_read = ns(to_u64(v));
-       }},
-      {"pcm.t_reset_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.timing.t_reset = ns(to_u64(v));
-       }},
-      {"pcm.t_set_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.timing.t_set = ns(to_u64(v));
-       }},
-      {"pcm.chip_budget",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.power.chip_budget = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.reset_current_ratio",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.power.reset_current_ratio_l = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.gcp",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.power.global_charge_pump = to_bool(v);
-       }},
-      {"pcm.chips_per_bank",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.geometry.chips_per_bank = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.chip_write_bits",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.geometry.chip_write_bits = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.line_bytes",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.geometry.cache_line_bytes = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.banks",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.geometry.banks = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.subarrays",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.geometry.subarrays_per_bank = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.channels",
-       [](SystemConfig& c, const std::string& v) {
-         const u64 n = to_u64(v);
-         if (n == 0 || (n & (n - 1)) != 0) {
-           throw std::runtime_error(
-               "channels must be a power of two >= 1 (got " + v +
-               "); the channel decoder extracts log2(channels) address bits");
-         }
-         c.pcm.geometry.channels = static_cast<u32>(n);
-       }},
-      {"pcm.channel_interleave",
-       [](SystemConfig& c, const std::string& v) {
-         const std::string s = to_lower(v);
-         if (s == "line") {
-           c.pcm.geometry.channel_interleave = pcm::ChannelInterleave::kLine;
-         } else if (s == "bank") {
-           c.pcm.geometry.channel_interleave = pcm::ChannelInterleave::kBank;
-         } else if (s == "row") {
-           c.pcm.geometry.channel_interleave = pcm::ChannelInterleave::kRow;
-         } else {
-           throw std::runtime_error("channel_interleave must be line|bank|row");
-         }
-       }},
-      // -- controller ------------------------------------------------------
-      {"controller.read_queue",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.read_queue_entries = static_cast<u32>(to_u64(v));
-       }},
-      {"controller.write_queue",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.write_queue_entries = static_cast<u32>(to_u64(v));
-       }},
-      {"controller.drain",
-       [](SystemConfig& c, const std::string& v) {
-         const std::string s = to_lower(v);
-         if (s == "strict") {
-           c.controller.drain = mem::ControllerConfig::DrainPolicy::kStrict;
-         } else if (s == "opportunistic") {
-           c.controller.drain =
-               mem::ControllerConfig::DrainPolicy::kOpportunistic;
-         } else {
-           throw std::runtime_error("drain must be strict|opportunistic");
-         }
-       }},
-      {"controller.drain_low",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.drain_low_watermark = static_cast<u32>(to_u64(v));
-       }},
-      {"controller.write_coalescing",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.write_coalescing = to_bool(v);
-       }},
-      {"controller.read_forwarding",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.read_forwarding = to_bool(v);
-       }},
-      {"controller.write_pausing",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.write_pausing = to_bool(v);
-       }},
-      {"controller.wear_leveling",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.wear_leveling = to_bool(v);
-       }},
-      {"controller.gap_interval",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.start_gap.gap_write_interval =
-             static_cast<u32>(to_u64(v));
-       }},
-      {"controller.gap_region_lines",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.start_gap.region_lines = to_u64(v);
-       }},
-      {"controller.write_batch",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.write_batch = static_cast<u32>(to_u64(v));
-       }},
-      // -- partition-level parallelism (PALP) -------------------------------
-      {"palp.enabled",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.palp.enabled = to_bool(v);
-       }},
-      {"palp.write_ways",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.palp.write_ways = static_cast<u32>(to_u64(v));
-       }},
-      {"palp.max_rww_reads",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.palp.max_rww_reads = static_cast<u32>(to_u64(v));
-       }},
-      // -- DRAM front tier ---------------------------------------------------
-      {"dram.enabled",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.enabled = to_bool(v);
-       }},
-      {"dram.capacity_mb",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.capacity_bytes = to_u64(v) * 1024 * 1024;
-       }},
-      {"dram.ways",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.ways = static_cast<u32>(to_u64(v));
-       }},
-      {"dram.policy",
-       [](SystemConfig& c, const std::string& v) {
-         const std::string s = to_lower(v);
-         if (s == "lru") {
-           c.dram.policy = mem::DramPolicy::kLru;
-         } else if (s == "mac") {
-           c.dram.policy = mem::DramPolicy::kMac;
-         } else {
-           throw std::runtime_error("dram.policy must be lru|mac");
-         }
-       }},
-      {"dram.t_row_hit_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.t_row_hit = ns(to_u64(v));
-       }},
-      {"dram.t_row_miss_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.t_row_miss = ns(to_u64(v));
-       }},
-      {"dram.row_lines",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.row_lines = static_cast<u32>(to_u64(v));
-       }},
-      {"dram.banks",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.banks = static_cast<u32>(to_u64(v));
-       }},
-      {"dram.pending_limit",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.pending_limit = static_cast<u32>(to_u64(v));
-       }},
-      {"dram.mac_group",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.mac_group = static_cast<u32>(to_u64(v));
-       }},
-      // -- content-encoder pre-stage ---------------------------------------
-      {"encode.kind",
-       [](SystemConfig& c, const std::string& v) {
-         const auto k = encode::parse_encoder(to_lower(v));
-         if (!k) {
-           throw std::runtime_error(
-               "encode.kind must be none|flip|wire|coset");
-         }
-         c.encode.kind = *k;
-       }},
-      // -- multi-line batch packing ---------------------------------------
-      {"batch.max_lines",
-       [](SystemConfig& c, const std::string& v) {
-         c.batch.max_lines = static_cast<u32>(to_u64(v));
-       }},
-      // -- cores -----------------------------------------------------------
-      {"core.clock_ps",
-       [](SystemConfig& c, const std::string& v) {
-         c.core.clock_period = to_u64(v);
-       }},
-      {"core.peak_ipc",
-       [](SystemConfig& c, const std::string& v) {
-         c.core.peak_ipc = to_double(v);
-       }},
-      {"core.mlp",
-       [](SystemConfig& c, const std::string& v) {
-         c.core.mlp = static_cast<u32>(to_u64(v));
-       }},
-      // -- tetris ----------------------------------------------------------
-      {"tetris.analysis_cycles",
-       [](SystemConfig& c, const std::string& v) {
-         c.tetris.analysis_cycles = static_cast<u32>(to_u64(v));
-       }},
-      {"tetris.forbid_self_overlap",
-       [](SystemConfig& c, const std::string& v) {
-         c.tetris.forbid_self_overlap = to_bool(v);
-       }},
-      // -- fault injection --------------------------------------------------
-      {"fault.profile",
-       [](SystemConfig& c, const std::string& v) {
-         const auto p = fault::parse_fault_profile(v);
-         if (!p) {
-           throw std::runtime_error(
-               "fault profile must be none|light|heavy|stuck-bank");
-         }
-         c.fault = fault::profile_config(*p);
-       }},
-      {"fault.set_fail_prob",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.set_fail_prob = to_double(v);
-       }},
-      {"fault.reset_fail_prob",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.reset_fail_prob = to_double(v);
-       }},
-      {"fault.max_retries",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.max_retries = static_cast<u32>(to_u64(v));
-       }},
-      {"fault.retry_widening",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.retry_widening = to_double(v);
-       }},
-      {"fault.retry_fail_damping",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.retry_fail_damping = to_double(v);
-       }},
-      {"fault.wear_knee",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.wear_knee = to_u64(v);
-       }},
-      {"fault.worn_fail_prob",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.worn_fail_prob = to_double(v);
-       }},
-      {"fault.stuck_bank",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.stuck_bank = static_cast<u32>(to_u64(v));
-       }},
-      {"fault.stuck_bank_prob",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.stuck_bank_prob = to_double(v);
-       }},
-      {"fault.brownout_period_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.brownout_period = ns(to_u64(v));
-       }},
-      {"fault.brownout_duration_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.brownout_duration = ns(to_u64(v));
-       }},
-      {"fault.brownout_budget_factor",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.brownout_budget_factor = to_double(v);
-       }},
-      // -- xbar / sharded engine --------------------------------------------
-      {"xbar.latency_ns",
-       [](SystemConfig& c, const std::string& v) {
-         const u64 n = to_u64(v);
-         if (n == 0) {
-           throw std::runtime_error(
-               "xbar latency must be >= 1 ns (it is also the sharded "
-               "engine's lockstep quantum)");
-         }
-         c.xbar_latency = ns(n);
-       }},
-      {"sys.sim_threads",
-       [](SystemConfig& c, const std::string& v) {
-         c.sim_threads = static_cast<u32>(to_u64(v));
-       }},
-      // -- run -------------------------------------------------------------
-      {"sys.cores",
-       [](SystemConfig& c, const std::string& v) {
-         c.cores = static_cast<u32>(to_u64(v));
-       }},
-      {"sys.instructions",
-       [](SystemConfig& c, const std::string& v) {
-         c.instructions_per_core = to_u64(v);
-       }},
-      {"sys.seed",
-       [](SystemConfig& c, const std::string& v) { c.seed = to_u64(v); }},
-  };
-  return kSetters;
+/// A decimal MB value as a byte count: exact for any whole number of
+/// bytes (bytes / 2^20 is a dyadic fraction a double holds exactly).
+u64 parse_mb(std::string_view v) {
+  const double bytes = parse_double(v) * static_cast<double>(kMb);
+  if (!(bytes >= 1.0 && bytes < 0x1p64) || bytes != std::floor(bytes)) {
+    throw Expected{"a positive whole number of bytes, in MB"};
+  }
+  return static_cast<u64>(bytes);
 }
 
-std::string trim(const std::string& s) {
+/// A byte count as an exact decimal MB value (at most 20 fraction digits).
+std::string format_mb(u64 bytes) {
+  std::string s = std::to_string(bytes / kMb);
+  u64 frac = bytes % kMb;
+  if (frac != 0) s += '.';
+  while (frac != 0) {
+    frac *= 10;
+    s += static_cast<char>('0' + frac / kMb);
+    frac %= kMb;
+  }
+  return s;
+}
+
+/// Shortest text that parses back to exactly `v`.
+std::string format_double(double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, end);
+}
+
+u64 parse_integer(const Key& k, std::string_view v, u64 max) {
+  if (k.unit == Unit::kMb) return parse_mb(v);
+  const u64 n = parse_uint(v, k.unit == Unit::kNs ? max / 1000 : max);
+  if (k.rule == Rule::kPositive && n == 0) throw Expected{">= 1"};
+  if (k.rule == Rule::kPowerOfTwo && (n == 0 || (n & (n - 1)) != 0)) {
+    throw Expected{"a power of two >= 1"};
+  }
+  return k.unit == Unit::kNs ? n * 1000 : n;
+}
+
+void set_key(SystemConfig& cfg, const Key& k, std::string_view v) {
+  try {
+    std::visit(
+        [&]<class T>(T* f) {
+          if constexpr (std::is_same_v<T, bool>) {
+            *f = parse_bool(v);
+          } else if constexpr (std::is_same_v<T, double>) {
+            *f = parse_double(v);
+          } else if constexpr (std::is_same_v<T, fault::FaultConfig>) {
+            const auto p = fault::parse_fault_profile(v);
+            if (!p) throw Expected{"none|light|heavy|stuck-bank"};
+            *f = fault::profile_config(*p);
+          } else if constexpr (std::is_enum_v<T>) {
+            const std::string s = to_lower(v);
+            std::string all;
+            for (std::size_t i = 0; i < k.names.size(); ++i) {
+              if (s == k.names[i]) {
+                *f = static_cast<T>(i);
+                return;
+              }
+              all += (i == 0 ? "" : "|") + std::string(k.names[i]);
+            }
+            throw Expected{all};
+          } else {
+            *f = parse_integer(k, v, std::numeric_limits<T>::max());
+          }
+        },
+        k.field(cfg));
+  } catch (const Expected& e) {
+    std::string msg = std::string(k.name) + " must be " + e.what + " (got '" +
+                      std::string(v) + "')";
+    if (!k.why.empty()) msg += "; " + std::string(k.why);
+    throw std::runtime_error(msg);
+  }
+}
+
+/// The key's value as text that set_key parses back to the same field.
+std::string format_key(SystemConfig& cfg, const Key& k) {
+  return std::visit(
+      [&]<class T>(T* f) -> std::string {
+        if constexpr (std::is_same_v<T, bool>) {
+          return *f ? "true" : "false";
+        } else if constexpr (std::is_same_v<T, double>) {
+          return format_double(*f);
+        } else if constexpr (std::is_same_v<T, fault::FaultConfig>) {
+          return "";  // alias: the fields it sets have keys of their own
+        } else if constexpr (std::is_enum_v<T>) {
+          return k.names[static_cast<std::size_t>(*f)];
+        } else if (k.unit == Unit::kMb) {
+          return format_mb(*f);
+        } else {
+          return std::to_string(k.unit == Unit::kNs ? *f / 1000 : *f);
+        }
+      },
+      k.field(cfg));
+}
+
+std::string_view trim(std::string_view s) {
   const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
+  if (b == std::string_view::npos) return {};
   const auto e = s.find_last_not_of(" \t\r");
   return s.substr(b, e - b + 1);
 }
 
 }  // namespace
+
+void set_config_key(SystemConfig& cfg, std::string_view key,
+                    std::string_view value) {
+  for (const Key& k : kKeys) {
+    if (k.name == key) return set_key(cfg, k, value);
+  }
+  throw std::runtime_error("unknown key '" + std::string(key) + "'");
+}
 
 SystemConfig parse_system_config(std::istream& in) {
   SystemConfig cfg;
@@ -359,27 +362,18 @@ SystemConfig parse_system_config(std::istream& in) {
   int lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const std::string trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    const auto eq = trimmed.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error("config line " + std::to_string(lineno) +
-                               ": expected key = value");
-    }
-    const std::string key = trim(trimmed.substr(0, eq));
-    const std::string value = trim(trimmed.substr(eq + 1));
-    const auto it = setters().find(key);
-    if (it == setters().end()) {
-      throw std::runtime_error("config line " + std::to_string(lineno) +
-                               ": unknown key '" + key + "'");
-    }
+    const std::string_view text = trim(std::string_view(line).substr(
+        0, std::string_view(line).find('#')));
+    if (text.empty()) continue;
+    const auto eq = text.find('=');
     try {
-      it->second(cfg, value);
-    } catch (const std::exception& e) {
+      if (eq == std::string_view::npos) {
+        throw std::runtime_error("expected key = value");
+      }
+      set_config_key(cfg, trim(text.substr(0, eq)), trim(text.substr(eq + 1)));
+    } catch (const std::runtime_error& e) {
       throw std::runtime_error("config line " + std::to_string(lineno) +
-                               " (" + key + "): " + e.what());
+                               ": " + e.what());
     }
   }
   return cfg;
@@ -392,106 +386,12 @@ SystemConfig load_system_config(const std::string& path) {
 }
 
 void write_system_config(const SystemConfig& cfg, std::ostream& out) {
+  SystemConfig copy = cfg;  // Key::field hands out mutable pointers
   out << "# tetriswrite experiment configuration\n";
-  out << "pcm.t_read_ns = " << cfg.pcm.timing.t_read / 1000 << "\n";
-  out << "pcm.t_reset_ns = " << cfg.pcm.timing.t_reset / 1000 << "\n";
-  out << "pcm.t_set_ns = " << cfg.pcm.timing.t_set / 1000 << "\n";
-  out << "pcm.chip_budget = " << cfg.pcm.power.chip_budget << "\n";
-  out << "pcm.reset_current_ratio = " << cfg.pcm.power.reset_current_ratio_l
-      << "\n";
-  out << "pcm.gcp = " << (cfg.pcm.power.global_charge_pump ? "true" : "false")
-      << "\n";
-  out << "pcm.chips_per_bank = " << cfg.pcm.geometry.chips_per_bank << "\n";
-  out << "pcm.chip_write_bits = " << cfg.pcm.geometry.chip_write_bits << "\n";
-  out << "pcm.line_bytes = " << cfg.pcm.geometry.cache_line_bytes << "\n";
-  out << "pcm.banks = " << cfg.pcm.geometry.banks << "\n";
-  out << "pcm.subarrays = " << cfg.pcm.geometry.subarrays_per_bank << "\n";
-  out << "pcm.channels = " << cfg.pcm.geometry.channels << "\n";
-  out << "pcm.channel_interleave = "
-      << pcm::channel_interleave_name(cfg.pcm.geometry.channel_interleave)
-      << "\n";
-  out << "controller.read_queue = " << cfg.controller.read_queue_entries
-      << "\n";
-  out << "controller.write_queue = " << cfg.controller.write_queue_entries
-      << "\n";
-  out << "controller.drain = "
-      << (cfg.controller.drain == mem::ControllerConfig::DrainPolicy::kStrict
-              ? "strict"
-              : "opportunistic")
-      << "\n";
-  out << "controller.drain_low = " << cfg.controller.drain_low_watermark
-      << "\n";
-  out << "controller.write_coalescing = "
-      << (cfg.controller.write_coalescing ? "true" : "false") << "\n";
-  out << "controller.read_forwarding = "
-      << (cfg.controller.read_forwarding ? "true" : "false") << "\n";
-  out << "controller.write_pausing = "
-      << (cfg.controller.write_pausing ? "true" : "false") << "\n";
-  out << "controller.wear_leveling = "
-      << (cfg.controller.wear_leveling ? "true" : "false") << "\n";
-  out << "controller.gap_interval = "
-      << cfg.controller.start_gap.gap_write_interval << "\n";
-  out << "controller.gap_region_lines = "
-      << cfg.controller.start_gap.region_lines << "\n";
-  out << "controller.write_batch = " << cfg.controller.write_batch << "\n";
-  if (cfg.controller.palp.enabled) {
-    // Only emitted when PALP is on, so PALP-off dumps are unchanged.
-    out << "palp.enabled = true\n";
-    out << "palp.write_ways = " << cfg.controller.palp.write_ways << "\n";
-    out << "palp.max_rww_reads = " << cfg.controller.palp.max_rww_reads
-        << "\n";
+  for (const Key& k : kKeys) {
+    if (std::holds_alternative<fault::FaultConfig*>(k.field(copy))) continue;
+    out << k.name << " = " << format_key(copy, k) << "\n";
   }
-  if (cfg.dram.enabled) {
-    // Only emitted when the tier is on, so tier-off dumps are unchanged.
-    out << "dram.enabled = true\n";
-    out << "dram.capacity_mb = " << cfg.dram.capacity_bytes / (1024 * 1024)
-        << "\n";
-    out << "dram.ways = " << cfg.dram.ways << "\n";
-    out << "dram.policy = " << mem::dram_policy_name(cfg.dram.policy)
-        << "\n";
-    out << "dram.t_row_hit_ns = " << cfg.dram.t_row_hit / 1000 << "\n";
-    out << "dram.t_row_miss_ns = " << cfg.dram.t_row_miss / 1000 << "\n";
-    out << "dram.row_lines = " << cfg.dram.row_lines << "\n";
-    out << "dram.banks = " << cfg.dram.banks << "\n";
-    out << "dram.pending_limit = " << cfg.dram.pending_limit << "\n";
-    out << "dram.mac_group = " << cfg.dram.mac_group << "\n";
-  }
-  if (cfg.encode.enabled()) {
-    // Only emitted when an encoder is on, so encoder-off dumps are
-    // unchanged.
-    out << "encode.kind = " << encode::encoder_name(cfg.encode.kind) << "\n";
-  }
-  out << "batch.max_lines = " << cfg.batch.max_lines << "\n";
-  out << "core.clock_ps = " << cfg.core.clock_period << "\n";
-  out << "core.peak_ipc = " << cfg.core.peak_ipc << "\n";
-  out << "core.mlp = " << cfg.core.mlp << "\n";
-  out << "tetris.analysis_cycles = " << cfg.tetris.analysis_cycles << "\n";
-  out << "tetris.forbid_self_overlap = "
-      << (cfg.tetris.forbid_self_overlap ? "true" : "false") << "\n";
-  if (cfg.fault.enabled()) {
-    // Only emitted when faults are on, so fault-free dumps are unchanged.
-    out << "fault.set_fail_prob = " << cfg.fault.set_fail_prob << "\n";
-    out << "fault.reset_fail_prob = " << cfg.fault.reset_fail_prob << "\n";
-    out << "fault.max_retries = " << cfg.fault.max_retries << "\n";
-    out << "fault.retry_widening = " << cfg.fault.retry_widening << "\n";
-    out << "fault.retry_fail_damping = " << cfg.fault.retry_fail_damping
-        << "\n";
-    out << "fault.wear_knee = " << cfg.fault.wear_knee << "\n";
-    out << "fault.worn_fail_prob = " << cfg.fault.worn_fail_prob << "\n";
-    out << "fault.stuck_bank = " << cfg.fault.stuck_bank << "\n";
-    out << "fault.stuck_bank_prob = " << cfg.fault.stuck_bank_prob << "\n";
-    out << "fault.brownout_period_ns = " << cfg.fault.brownout_period / 1000
-        << "\n";
-    out << "fault.brownout_duration_ns = "
-        << cfg.fault.brownout_duration / 1000 << "\n";
-    out << "fault.brownout_budget_factor = "
-        << cfg.fault.brownout_budget_factor << "\n";
-  }
-  out << "xbar.latency_ns = " << cfg.xbar_latency / 1000 << "\n";
-  out << "sys.sim_threads = " << cfg.sim_threads << "\n";
-  out << "sys.cores = " << cfg.cores << "\n";
-  out << "sys.instructions = " << cfg.instructions_per_core << "\n";
-  out << "sys.seed = " << cfg.seed << "\n";
 }
 
 }  // namespace tw::harness

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <optional>
 
 #include "tw/common/version.hpp"
@@ -29,6 +30,37 @@ u64 mix_double(u64 h, double v) {
   u64 bits;
   std::memcpy(&bits, &v, sizeof(bits));
   return mix(h, bits);
+}
+
+/// Gauge reporting how much `total()` grew since the previous sample.
+template <class Total>
+std::function<double()> epoch_delta(Total total) {
+  return [total, prev = 0.0]() mutable {
+    const double t = total();
+    const double d = t - prev;
+    prev = t;
+    return d;
+  };
+}
+
+/// epoch_delta of a registry counter.
+std::function<double()> counter_delta(stats::Registry& reg,
+                                      const char* name) {
+  return epoch_delta(
+      [&reg, name] { return static_cast<double>(reg.counter(name).value()); });
+}
+
+/// Mean of the samples a registry accumulator took since the previous
+/// sample (0 when it took none).
+std::function<double()> mean_delta(stats::Registry& reg, const char* name) {
+  return [&reg, name, prev_sum = 0.0, prev_n = 0.0]() mutable {
+    const auto& acc = reg.accumulator(name);
+    const double dn = static_cast<double>(acc.count()) - prev_n;
+    const double ds = acc.sum() - prev_sum;
+    prev_n = static_cast<double>(acc.count());
+    prev_sum = acc.sum();
+    return dn <= 0.0 ? 0.0 : ds / dn;
+  };
 }
 
 /// Register the standard gauge set on the snapshotter: queue depths, bank
@@ -59,51 +91,17 @@ void add_standard_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
     prev_now = now;
     return util;
   });
-  snap.add_gauge("reads_epoch",
-                 [&, prev = 0.0]() mutable {
-                   const double t =
-                       static_cast<double>(reg.counter("mem.reads").value());
-                   const double d = t - prev;
-                   prev = t;
-                   return d;
-                 });
-  snap.add_gauge("writes_epoch",
-                 [&, prev = 0.0]() mutable {
-                   const double t =
-                       static_cast<double>(reg.counter("mem.writes").value());
-                   const double d = t - prev;
-                   prev = t;
-                   return d;
-                 });
-  snap.add_gauge("write_units_epoch",
-                 [&, prev = 0.0]() mutable {
-                   const double t = reg.accumulator("mem.write_units").sum();
-                   const double d = t - prev;
-                   prev = t;
-                   return d;
-                 });
+  snap.add_gauge("reads_epoch", counter_delta(reg, "mem.reads"));
+  snap.add_gauge("writes_epoch", counter_delta(reg, "mem.writes"));
+  snap.add_gauge("write_units_epoch", epoch_delta([&reg] {
+                   return reg.accumulator("mem.write_units").sum();
+                 }));
   // Mean packed power-budget utilization of the writes in this epoch
   // (0 when the scheme has no packed schedule, or nothing was written).
-  snap.add_gauge("budget_util",
-                 [&, prev_sum = 0.0, prev_n = 0.0]() mutable {
-                   const auto& acc = reg.accumulator("mem.power_utilization");
-                   const double dn = static_cast<double>(acc.count()) - prev_n;
-                   const double ds = acc.sum() - prev_sum;
-                   prev_n = static_cast<double>(acc.count());
-                   prev_sum = acc.sum();
-                   return dn <= 0.0 ? 0.0 : ds / dn;
-                 });
+  snap.add_gauge("budget_util", mean_delta(reg, "mem.power_utilization"));
   // Mean occupancy of the multi-line joint schedules issued this epoch
   // (0 when batching is off or the scheme serializes its batches).
-  snap.add_gauge("batch_occupancy",
-                 [&, prev_sum = 0.0, prev_n = 0.0]() mutable {
-                   const auto& acc = reg.accumulator("mem.batch_occupancy");
-                   const double dn = static_cast<double>(acc.count()) - prev_n;
-                   const double ds = acc.sum() - prev_sum;
-                   prev_n = static_cast<double>(acc.count());
-                   prev_sum = acc.sum();
-                   return dn <= 0.0 ? 0.0 : ds / dn;
-                 });
+  snap.add_gauge("batch_occupancy", mean_delta(reg, "mem.batch_occupancy"));
 }
 
 /// Gauges for a multi-channel system: aggregate queue depths and traffic
@@ -133,35 +131,21 @@ void add_channel_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
     }
     return static_cast<double>(busy);
   });
-  snap.add_gauge("reads_epoch", [&msys, channels, prev = 0.0]() mutable {
-    double t = 0.0;
-    for (u32 c = 0; c < channels; ++c) {
-      t += static_cast<double>(
-          msys.channel_registry(c)->counter("mem.reads").value());
-    }
-    const double d = t - prev;
-    prev = t;
-    return d;
-  });
-  snap.add_gauge("writes_epoch", [&msys, channels, prev = 0.0]() mutable {
-    double t = 0.0;
-    for (u32 c = 0; c < channels; ++c) {
-      t += static_cast<double>(
-          msys.channel_registry(c)->counter("mem.writes").value());
-    }
-    const double d = t - prev;
-    prev = t;
-    return d;
-  });
+  const auto summed = [&msys, channels](const char* name) {
+    return epoch_delta([&msys, channels, name] {
+      double t = 0.0;
+      for (u32 c = 0; c < channels; ++c) {
+        t += static_cast<double>(
+            msys.channel_registry(c)->counter(name).value());
+      }
+      return t;
+    });
+  };
+  snap.add_gauge("reads_epoch", summed("mem.reads"));
+  snap.add_gauge("writes_epoch", summed("mem.writes"));
   for (u32 c = 0; c < channels; ++c) {
     snap.add_gauge("ch" + std::to_string(c) + "_writes_epoch",
-                   [&msys, c, prev = 0.0]() mutable {
-                     const double t = static_cast<double>(
-                         msys.channel_registry(c)->counter("mem.writes").value());
-                     const double d = t - prev;
-                     prev = t;
-                     return d;
-                   });
+                   counter_delta(*msys.channel_registry(c), "mem.writes"));
     snap.add_gauge("ch" + std::to_string(c) + "_write_q_depth", [&msys, c] {
       return static_cast<double>(msys.channel(c).write_queue_depth());
     });
@@ -171,72 +155,45 @@ void add_channel_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
 /// Per-epoch fault gauges; only registered when a fault model is active so
 /// fault-free traces keep their exact current column set.
 void add_fault_gauges(trace::MetricsSnapshotter& snap, stats::Registry& reg) {
-  const auto epoch_delta = [&reg](const char* name) {
-    return [&reg, name, prev = 0.0]() mutable {
-      const double t = static_cast<double>(reg.counter(name).value());
-      const double d = t - prev;
-      prev = t;
-      return d;
-    };
-  };
-  snap.add_gauge("fault_retries_epoch", epoch_delta("mem.fault_retries"));
-  snap.add_gauge("failed_lines_epoch", epoch_delta("mem.failed_lines"));
+  snap.add_gauge("fault_retries_epoch",
+                 counter_delta(reg, "mem.fault_retries"));
+  snap.add_gauge("failed_lines_epoch",
+                 counter_delta(reg, "mem.failed_lines"));
   snap.add_gauge("brownout_writes_epoch",
-                 epoch_delta("mem.brownout_writes"));
+                 counter_delta(reg, "mem.brownout_writes"));
 }
 
 /// Per-epoch DRAM-tier gauges; only registered when the tier is on so
 /// tier-off traces keep their exact column set.
 void add_dram_gauges(trace::MetricsSnapshotter& snap, stats::Registry& reg) {
-  const auto epoch_delta = [&reg](const char* name) {
-    return [&reg, name, prev = 0.0]() mutable {
-      const double t = static_cast<double>(reg.counter(name).value());
-      const double d = t - prev;
-      prev = t;
-      return d;
-    };
-  };
-  snap.add_gauge("dram_hits_epoch", epoch_delta("mem.dram_hits"));
-  snap.add_gauge("dram_misses_epoch", epoch_delta("mem.dram_misses"));
+  snap.add_gauge("dram_hits_epoch", counter_delta(reg, "mem.dram_hits"));
+  snap.add_gauge("dram_misses_epoch",
+                 counter_delta(reg, "mem.dram_misses"));
   snap.add_gauge("dram_writebacks_epoch",
-                 epoch_delta("mem.dram_writebacks"));
+                 counter_delta(reg, "mem.dram_writebacks"));
   snap.add_gauge("dram_clean_evicts_epoch",
-                 epoch_delta("mem.dram_clean_evicts"));
+                 counter_delta(reg, "mem.dram_clean_evicts"));
 }
 
 /// Per-epoch PALP gauges; only registered when partition-level
 /// parallelism is on so PALP-off traces keep their exact column set.
 void add_palp_gauges(trace::MetricsSnapshotter& snap, stats::Registry& reg) {
-  const auto epoch_delta = [&reg](const char* name) {
-    return [&reg, name, prev = 0.0]() mutable {
-      const double t = static_cast<double>(reg.counter(name).value());
-      const double d = t - prev;
-      prev = t;
-      return d;
-    };
-  };
   snap.add_gauge("palp_overlapped_reads_epoch",
-                 epoch_delta("mem.palp_overlapped_reads"));
+                 counter_delta(reg, "mem.palp_overlapped_reads"));
   snap.add_gauge("palp_pump_stalls_epoch",
-                 epoch_delta("mem.palp_pump_stalls"));
+                 counter_delta(reg, "mem.palp_pump_stalls"));
   snap.add_gauge("palp_write_overlaps_epoch",
-                 epoch_delta("mem.palp_write_overlaps"));
+                 counter_delta(reg, "mem.palp_write_overlaps"));
 }
 
 /// Per-epoch content-encoder gauges; only registered when an encoder is
 /// configured so encoder-off traces keep their exact column set.
 void add_encode_gauges(trace::MetricsSnapshotter& snap, stats::Registry& reg) {
-  const auto epoch_delta = [&reg](const char* name) {
-    return [&reg, name, prev = 0.0]() mutable {
-      const double t = static_cast<double>(reg.counter(name).value());
-      const double d = t - prev;
-      prev = t;
-      return d;
-    };
-  };
-  snap.add_gauge("enc_writes_epoch", epoch_delta("mem.enc_writes"));
-  snap.add_gauge("enc_coded_units_epoch", epoch_delta("mem.enc_coded_units"));
-  snap.add_gauge("enc_tag_bits_epoch", epoch_delta("mem.enc_tag_bits"));
+  snap.add_gauge("enc_writes_epoch", counter_delta(reg, "mem.enc_writes"));
+  snap.add_gauge("enc_coded_units_epoch",
+                 counter_delta(reg, "mem.enc_coded_units"));
+  snap.add_gauge("enc_tag_bits_epoch",
+                 counter_delta(reg, "mem.enc_tag_bits"));
 }
 
 }  // namespace
@@ -276,8 +233,7 @@ u64 config_hash(const SystemConfig& cfg) {
   h = mix(h, (cfg.controller.write_coalescing ? 1 : 0) |
                  (cfg.controller.read_forwarding ? 2 : 0) |
                  (cfg.controller.write_pausing ? 4 : 0) |
-                 (cfg.controller.wear_leveling ? 8 : 0) |
-                 (cfg.controller.row_hit_first ? 16 : 0));
+                 (cfg.controller.wear_leveling ? 8 : 0));
   h = mix(h, cfg.controller.pause_quantum);
   h = mix(h, cfg.controller.start_gap.region_lines);
   h = mix(h, cfg.controller.start_gap.gap_write_interval);

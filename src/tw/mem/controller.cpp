@@ -448,43 +448,22 @@ void Controller::dispatch() {
   }
 }
 
-u32 Controller::read_cursor(u32 sub, u64 floor, bool* hit_out) const {
+u32 Controller::read_cursor(u32 sub, u64 floor) const {
   const BucketList& list = read_by_sub_[sub];
   u32 first = list.head();
   while (first != kNilIndex && nodes_[first].req.id <= floor) {
     first = list.next(nodes_, first);
   }
-  *hit_out = false;
-  if (first == kNilIndex || !cfg_.row_hit_first) return first;
-  const u32 bank = sub / map_.subarrays_per_bank();
-  for (u32 id = first; id != kNilIndex; id = list.next(nodes_, id)) {
-    if (row_hit(bank, nodes_[id].phys)) {
-      *hit_out = true;
-      return id;
-    }
-  }
   return first;
 }
 
-u32 Controller::write_cursor(u32 bank, u32 from, Tick now, u64 floor,
-                             bool* hit_out) const {
+u32 Controller::write_cursor(u32 bank, u32 from, Tick now, u64 floor) const {
   const BucketList& list = write_by_bank_[bank];
-  u32 first_ready = kNilIndex;
   for (u32 id = from; id != kNilIndex; id = list.next(nodes_, id)) {
     const ReqNode& n = nodes_[id];
-    if (n.req.id <= floor || !subarrays_[n.sub].idle_at(now)) continue;
-    if (!cfg_.row_hit_first) {
-      *hit_out = false;
-      return id;
-    }
-    if (row_hit(bank, n.phys)) {
-      *hit_out = true;
-      return id;
-    }
-    if (first_ready == kNilIndex) first_ready = id;
+    if (n.req.id > floor && subarrays_[n.sub].idle_at(now)) return id;
   }
-  *hit_out = false;
-  return first_ready;
+  return kNilIndex;
 }
 
 void Controller::dispatch_reads(Tick now) {
@@ -498,10 +477,9 @@ void Controller::dispatch_reads(Tick now) {
   // The outer loop always re-collects (new arrivals during the batch are
   // younger than every batch element, so they issue strictly after it —
   // on the next pass) and terminates on a pass without progress; the
-  // common tail is one empty bitmap scan. Two cases additionally cut a
-  // batch short to force the fresh pass early: a zero-latency service
-  // leaves the issued subarray ready with a new head, and under
-  // row-hit-first a younger arrival can outrank queued misses.
+  // common tail is one empty bitmap scan. A zero-latency service
+  // additionally cuts a batch short to force the fresh pass early: it
+  // leaves the issued subarray ready with a new head.
   //
   // Write pausing adds the one step that frees a resource: the oldest
   // read of a busy subarray asks its bank's write to pause, at that
@@ -526,14 +504,12 @@ void Controller::dispatch_reads(Tick now) {
     bitmap_for_each(subs_with_reads_, [&](u32 sub) {
       const bool idle = subarrays_[sub].idle_at(now);
       if (!idle && !cfg_.write_pausing) return;
-      bool hit = false;
-      const u32 id = read_cursor(sub, floor_of(sub), &hit);
-      if (id != kNilIndex) read_ready_.push_back({id, sub, hit, !idle});
+      const u32 id = read_cursor(sub, floor_of(sub));
+      if (id != kNilIndex) read_ready_.push_back({id, sub, !idle});
     });
     if (read_ready_.empty()) break;
     std::sort(read_ready_.begin(), read_ready_.end(),
               [&](const ReadCursor& a, const ReadCursor& b) {
-                if (a.hit != b.hit) return a.hit;
                 return nodes_[a.node].req.id < nodes_[b.node].req.id;
               });
     // PALP holds reads back at issue time (a skipped cursor stays linked
@@ -561,7 +537,7 @@ void Controller::dispatch_reads(Tick now) {
       issue_read(take_node(cur.node));
       progressed = true;
       notify_space();
-      if (cfg_.row_hit_first || subarrays_[sub].idle_at(now)) break;
+      if (subarrays_[sub].idle_at(now)) break;
     }
     if (!progressed) break;
   }
@@ -582,7 +558,6 @@ void Controller::dispatch_writes(Tick now) {
   struct Cursor {
     u32 node;
     u32 bank;
-    bool hit;
   };
   InlineVec<Cursor, 64> ready;
   u64 floor = 0;  // writes with id <= floor are ineligible this round
@@ -592,10 +567,9 @@ void Controller::dispatch_writes(Tick now) {
       if (!bank_ready_for_write(bank, now) || paused_write_[bank].has_value()) {
         return;
       }
-      bool hit = false;
       const u32 id =
-          write_cursor(bank, write_by_bank_[bank].head(), now, floor, &hit);
-      if (id != kNilIndex) ready.push_back({id, bank, hit});
+          write_cursor(bank, write_by_bank_[bank].head(), now, floor);
+      if (id != kNilIndex) ready.push_back({id, bank});
     });
   };
   collect();
@@ -608,11 +582,9 @@ void Controller::dispatch_writes(Tick now) {
     }
     u32 best = 0;
     for (u32 i = 1; i < ready.size(); ++i) {
-      const bool better =
-          (ready[i].hit != ready[best].hit)
-              ? ready[i].hit
-              : nodes_[ready[i].node].req.id < nodes_[ready[best].node].req.id;
-      if (better) best = i;
+      if (nodes_[ready[i].node].req.id < nodes_[ready[best].node].req.id) {
+        best = i;
+      }
     }
     const Cursor cur = ready[best];
     ready[best] = ready[ready.size() - 1];
@@ -715,19 +687,13 @@ void Controller::dispatch_writes(Tick now) {
     // case the age-ordered sweep would keep walking: re-derive this
     // bank's cursor from the issued node's successor (earlier entries
     // were unissuable, and nothing un-occupies within a dispatch).
-    // row_hit_first rescans from the head because the open row changed.
     // Under PALP the bank re-arms whenever the pump still has a free
     // way — that is the point: a second partition write can start while
     // the first is in flight.
-    if (bank_ready_for_write(bank, now) &&
+    if (resume_from != kNilIndex && bank_ready_for_write(bank, now) &&
         !paused_write_[bank].has_value()) {
-      const u32 from =
-          cfg_.row_hit_first ? write_by_bank_[bank].head() : resume_from;
-      if (from != kNilIndex) {
-        bool hit = false;
-        const u32 id = write_cursor(bank, from, now, floor, &hit);
-        if (id != kNilIndex) ready.push_back({id, bank, hit});
-      }
+      const u32 id = write_cursor(bank, resume_from, now, floor);
+      if (id != kNilIndex) ready.push_back({id, bank});
     }
   }
 }

@@ -24,8 +24,7 @@
 // oldest-first over requests whose bank is idle; the "row hit first" rule
 // never fires for the paper configuration. The controller still tracks
 // each bank's open row (last-activated) in O(1) per issue: it feeds the
-// mem.row_hits/row_misses locality stats, and the opt-in `row_hit_first`
-// knob steers same-row requests first for DRAM-like front-ends.
+// mem.row_hits/row_misses locality stats.
 //
 // Optional substrate features from the paper's related work:
 //  * write pausing (ref [24]): a long write in service is paused at
@@ -112,12 +111,6 @@ struct ControllerConfig {
   /// scheme at once (batched Tetris packs their units jointly; other
   /// schemes serialize internally). Batches are not pausable.
   u32 write_batch = 1;
-
-  /// Prefer requests hitting a bank's open (last-activated) row over
-  /// strictly-oldest selection. A no-op for the paper's closed-row PCM
-  /// array (kept off there so schedules stay bit-identical to the
-  /// reference FRFCFS); DRAM-like front-ends can enable it.
-  bool row_hit_first = false;
 
   /// Partition-level parallelism knobs (read-while-write and concurrent
   /// partition writes inside a bank). Mutually exclusive with
@@ -239,8 +232,7 @@ class Controller : public MemoryInterface {
     Tick remaining = 0;
     u32 subarray = 0;
   };
-  /// Last row activated in a bank (closed-row PCM: locality stats and
-  /// the opt-in row_hit_first steering).
+  /// Last row activated in a bank (closed-row PCM: locality stats).
   struct OpenRow {
     u64 row = 0;
     bool valid = false;
@@ -268,14 +260,11 @@ class Controller : public MemoryInterface {
   void check_queue_index();
 
   /// Oldest issuable read in subarray `sub` younger than `floor` (request
-  /// id), or the oldest such open-row hit when row_hit_first is set.
-  /// kNilIndex if none. `hit_out` reports whether the pick is a row hit.
-  u32 read_cursor(u32 sub, u64 floor, bool* hit_out) const;
+  /// id). kNilIndex if none.
+  u32 read_cursor(u32 sub, u64 floor) const;
   /// Oldest issuable write in bank `bank` at `now` younger than `floor`,
-  /// scanning from node `from`; honors row_hit_first. kNilIndex if none.
-  /// `hit_out` reports whether the pick is an open-row hit.
-  u32 write_cursor(u32 bank, u32 from, Tick now, u64 floor,
-                   bool* hit_out) const;
+  /// scanning from node `from`. kNilIndex if none.
+  u32 write_cursor(u32 bank, u32 from, Tick now, u64 floor) const;
 
   bool row_hit(u32 bank, Addr phys) const;
   void note_row_activate(u32 bank, Addr phys);
@@ -385,7 +374,6 @@ class Controller : public MemoryInterface {
   struct ReadCursor {
     u32 node;
     u32 sub;
-    bool hit;
     bool pause;  ///< busy subarray under pausing: try to pause its write
   };
   std::vector<ReadCursor> read_ready_;

@@ -167,6 +167,17 @@ TEST(ChannelConfig, BadInterleaveAndZeroLatencyRejected) {
     std::istringstream in("xbar.latency_ns = 0\n");
     EXPECT_THROW(harness::parse_system_config(in), std::runtime_error);
   }
+  // The subarray count is a power of two for the same reason as channels.
+  std::istringstream in("pcm.subarrays = 4\npcm.subarrays = 3\n");
+  try {
+    harness::parse_system_config(in);
+    FAIL() << "should have thrown";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("pcm.subarrays"), std::string::npos) << what;
+    EXPECT_NE(what.find("power of two"), std::string::npos) << what;
+  }
 }
 
 TEST(ChannelConfig, RoundTripsThroughWriter) {

@@ -121,6 +121,7 @@ TEST(Combo, PausingPlusWearLevelingKeepsDataConsistent) {
 #endif
 #endif
 
+#ifndef TW_SANITIZED
 // Caps this process's address space at what it maps now plus
 // `headroom_mb`, so a structure sized by an address instead of by what
 // was touched fails with bad_alloc instead of paging the host.
@@ -145,6 +146,7 @@ void run_bounded(const harness::SystemConfig& cfg, const char* workload) {
       cfg, workload::profile_by_name(workload), schemes::SchemeKind::kTetris);
   std::_Exit(m.completed ? 0 : 1);
 }
+#endif
 
 TEST(Combo, AllFeaturesMemoryBoundedUnderAddressSpaceLimit) {
 #ifdef TW_SANITIZED

@@ -388,6 +388,8 @@ controller.drain = opportunistic
 controller.write_pausing = true
 sys.cores = 2
 sys.instructions = 1234
+fault.profile = light
+fault.max_retries = 7
 )");
   const harness::SystemConfig cfg = harness::parse_system_config(in);
   EXPECT_EQ(cfg.pcm.timing.t_set, ns(860));
@@ -397,6 +399,12 @@ sys.instructions = 1234
   EXPECT_TRUE(cfg.controller.write_pausing);
   EXPECT_EQ(cfg.cores, 2u);
   EXPECT_EQ(cfg.instructions_per_core, 1234u);
+  // The preset replaces every fault field; a later key overrides one.
+  const fault::FaultConfig light =
+      fault::profile_config(fault::FaultProfile::kLight);
+  EXPECT_EQ(cfg.fault.set_fail_prob, light.set_fail_prob);
+  EXPECT_EQ(cfg.fault.brownout_period, light.brownout_period);
+  EXPECT_EQ(cfg.fault.max_retries, 7u);
 }
 
 TEST(ConfigFile, UnknownKeyRejectedWithLineNumber) {
@@ -411,8 +419,27 @@ TEST(ConfigFile, UnknownKeyRejectedWithLineNumber) {
 }
 
 TEST(ConfigFile, BadValueRejected) {
-  std::istringstream in("sys.cores = lots\n");
-  EXPECT_THROW(harness::parse_system_config(in), std::runtime_error);
+  for (const char* text :
+       {"sys.cores = lots\n", "sys.cores = 4294967296\n", "sys.seed = -1\n",
+        "core.peak_ipc = fast\n", "pcm.gcp = maybe\n",
+        "controller.drain = eager\n", "fault.profile = medium\n",
+        "dram.capacity_mb = 0\n", "dram.capacity_mb = 0.1\n",
+        "pcm.t_set_ns = 18446744073709552\n"}) {
+    std::istringstream in(text);
+    EXPECT_THROW(harness::parse_system_config(in), std::runtime_error)
+        << text;
+  }
+}
+
+std::string dump(const harness::SystemConfig& cfg) {
+  std::ostringstream out;
+  harness::write_system_config(cfg, out);
+  return out.str();
+}
+
+harness::SystemConfig round_trip(const harness::SystemConfig& cfg) {
+  std::istringstream in(dump(cfg));
+  return harness::parse_system_config(in);
 }
 
 TEST(ConfigFile, RoundTrips) {
@@ -422,15 +449,115 @@ TEST(ConfigFile, RoundTrips) {
   cfg.controller.wear_leveling = true;
   cfg.cores = 8;
   cfg.core.peak_ipc = 4.0;
-  std::ostringstream out;
-  harness::write_system_config(cfg, out);
-  std::istringstream in(out.str());
-  const harness::SystemConfig back = harness::parse_system_config(in);
+  const harness::SystemConfig back = round_trip(cfg);
   EXPECT_EQ(back.pcm.power.chip_budget, 64u);
   EXPECT_TRUE(back.controller.write_pausing);
   EXPECT_TRUE(back.controller.wear_leveling);
   EXPECT_EQ(back.cores, 8u);
   EXPECT_DOUBLE_EQ(back.core.peak_ipc, 4.0);
+  EXPECT_NE(dump(cfg).find("core.peak_ipc = 4\n"), std::string::npos);
+}
+
+// Every written key set off its default survives dump + parse exactly,
+// including doubles that have no short decimal form.
+TEST(ConfigFile, EveryKeyRoundTrips) {
+  harness::SystemConfig cfg;
+  cfg.pcm.timing.t_read = ns(60);
+  cfg.pcm.timing.t_reset = ns(55);
+  cfg.pcm.timing.t_set = ns(440);
+  cfg.pcm.power.chip_budget = 24;
+  cfg.pcm.power.reset_current_ratio_l = 3;
+  cfg.pcm.power.global_charge_pump = false;
+  cfg.pcm.geometry.chips_per_bank = 8;
+  cfg.pcm.geometry.chip_write_bits = 8;
+  cfg.pcm.geometry.cache_line_bytes = 128;
+  cfg.pcm.geometry.banks = 16;
+  cfg.pcm.geometry.subarrays_per_bank = 4;
+  cfg.pcm.geometry.channels = 2;
+  cfg.pcm.geometry.channel_interleave = pcm::ChannelInterleave::kBank;
+  cfg.controller.read_queue_entries = 48;
+  cfg.controller.write_queue_entries = 40;
+  cfg.controller.drain = mem::ControllerConfig::DrainPolicy::kOpportunistic;
+  cfg.controller.drain_low_watermark = 12;
+  cfg.controller.write_coalescing = false;
+  cfg.controller.read_forwarding = false;
+  cfg.controller.write_pausing = true;
+  cfg.controller.wear_leveling = true;
+  cfg.controller.start_gap.gap_write_interval = 64;
+  cfg.controller.start_gap.region_lines = 4096;
+  cfg.controller.write_batch = 3;
+  cfg.controller.palp.enabled = true;
+  cfg.controller.palp.write_ways = 4;
+  cfg.controller.palp.max_rww_reads = 1;
+  cfg.dram.enabled = true;
+  cfg.dram.capacity_bytes = 128 * 1024;
+  cfg.dram.ways = 4;
+  cfg.dram.policy = mem::DramPolicy::kMac;
+  cfg.dram.t_row_hit = ns(12);
+  cfg.dram.t_row_miss = ns(35);
+  cfg.dram.row_lines = 32;
+  cfg.dram.banks = 4;
+  cfg.dram.pending_limit = 16;
+  cfg.dram.mac_group = 2;
+  cfg.encode.kind = encode::EncoderKind::kCoset;
+  cfg.batch.max_lines = 4;
+  cfg.core.clock_period = 400;
+  cfg.core.peak_ipc = 2.0 / 3.0;
+  cfg.core.mlp = 8;
+  cfg.tetris.analysis_cycles = 30;
+  cfg.tetris.forbid_self_overlap = true;
+  cfg.fault.set_fail_prob = 1.0 / 3.0;
+  cfg.fault.reset_fail_prob = 1e-7;
+  cfg.fault.max_retries = 5;
+  cfg.fault.retry_widening = 1.1;
+  cfg.fault.retry_fail_damping = 0.3;
+  cfg.fault.wear_knee = 64;
+  cfg.fault.worn_fail_prob = 0.05;
+  cfg.fault.stuck_bank = 3;
+  cfg.fault.stuck_bank_prob = 0.25;
+  cfg.fault.brownout_period = us(50);
+  cfg.fault.brownout_duration = us(10);
+  cfg.fault.brownout_budget_factor = 0.7;
+  cfg.xbar_latency = ns(35);
+  cfg.sim_threads = 2;
+  cfg.cores = 8;
+  cfg.instructions_per_core = 12345;
+  cfg.seed = 7;
+
+  const harness::SystemConfig back = round_trip(cfg);
+  EXPECT_EQ(harness::config_hash(back), harness::config_hash(cfg));
+  EXPECT_EQ(dump(back), dump(cfg));
+  EXPECT_EQ(back.core.peak_ipc, 2.0 / 3.0);
+  EXPECT_EQ(back.fault.set_fail_prob, 1.0 / 3.0);
+  EXPECT_EQ(back.sim_threads, 2u);  // not in config_hash
+
+  // Each written line differs from the default dump: no key is left out.
+  std::istringstream want(dump(harness::SystemConfig{}));
+  std::istringstream got(dump(cfg));
+  std::string a, b;
+  std::getline(want, a);  // header comment
+  std::getline(got, b);
+  while (std::getline(want, a)) {
+    ASSERT_TRUE(std::getline(got, b));
+    EXPECT_EQ(a.substr(0, a.find('=')), b.substr(0, b.find('=')));
+    EXPECT_NE(a, b) << "key left at its default";
+  }
+  EXPECT_FALSE(std::getline(got, b));
+}
+
+// A DRAM tier smaller than 1 MB (perfbench's tiered_palp tier) keeps its
+// exact byte count through the MB-valued key.
+TEST(ConfigFile, SubMegabyteDramCapacityRoundTrips) {
+  harness::SystemConfig cfg;
+  cfg.dram.enabled = true;
+  cfg.dram.capacity_bytes = 128 * 1024;
+  cfg.dram.policy = mem::DramPolicy::kMac;
+  EXPECT_NE(dump(cfg).find("dram.capacity_mb = 0.125\n"), std::string::npos);
+  const harness::SystemConfig back = round_trip(cfg);
+  EXPECT_EQ(back.dram.capacity_bytes, 131072u);
+  EXPECT_EQ(harness::config_hash(back), harness::config_hash(cfg));
+  std::istringstream one_byte("dram.capacity_mb = 0.00000095367431640625\n");
+  EXPECT_EQ(harness::parse_system_config(one_byte).dram.capacity_bytes, 1u);
 }
 
 TEST(ConfigFile, MissingFileThrows) {
