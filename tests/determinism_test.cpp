@@ -10,8 +10,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
-#include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -21,8 +19,14 @@
 #include "tw/harness/experiment.hpp"
 #include "tw/workload/profiles.hpp"
 
+#include "run_digest.hpp"
+
 namespace tw {
 namespace {
+
+using testing_digest::metrics_digest;
+using testing_digest::metrics_fingerprint;
+using testing_digest::trace_file_digest;
 
 harness::SystemConfig small_config(u64 seed) {
   harness::SystemConfig cfg;
@@ -164,45 +168,58 @@ TEST(Determinism, SimdLevelInvariantAcrossBatchModes) {
   EXPECT_TRUE(any_batched);
 }
 
-/// One vips/Tetris cell at the given channel count, pool-thread cap and
-/// (optionally) Chrome trace path.
-harness::RunMetrics run_channel_cell(u32 channels, u32 sim_threads, u64 seed,
+/// One vips/Tetris cell at the given channel count and (optionally)
+/// Chrome trace path.
+harness::RunMetrics run_channel_cell(u32 channels, u64 seed,
                                      const std::string& trace_path = "") {
   harness::SystemConfig cfg = small_config(seed);
   cfg.pcm.geometry.channels = channels;
-  cfg.sim_threads = sim_threads;
   cfg.trace.chrome_path = trace_path;
   return harness::run_system(cfg, workload::profile_by_name("vips"),
                              schemes::SchemeKind::kTetris);
 }
 
+/// Compares a run's metrics with its recorded digest; a mismatch prints
+/// the observed digest and every field.
+void expect_pinned(const harness::RunMetrics& m, u64 want) {
+  const u64 got = metrics_digest(m);
+  EXPECT_EQ(got, want) << std::hex << "digest 0x" << got << "\n"
+                       << metrics_fingerprint(m);
+}
+
+/// Compares a trace file's digest with its recorded value (and removes
+/// the file).
+void expect_trace_pinned(const std::string& path, u64 want) {
+  const u64 got = trace_file_digest(path);
+  EXPECT_EQ(got, want) << std::hex << "trace digest 0x" << got;
+}
+
+// The multi-channel locks below pin results recorded while the sharded
+// engine still ran its channel phase on a thread pool; at the time the
+// recorded values were checked identical at 1 and 4 simulation threads.
+// They now hold the serial lockstep loop to those values.
+
 TEST(Determinism, ChannelPhaseThreadCountInvariant) {
-  // The sharded engine's three-phase window protocol promises that the
-  // number of pool threads advancing the channel domains never reaches
-  // the results: same seed => bit-identical RunMetrics at every
-  // (channels, sim_threads) point.
-  for (const u32 channels : {1u, 2u, 8u}) {
-    SCOPED_TRACE("channels=" + std::to_string(channels));
-    std::vector<harness::RunMetrics> runs;
-    for (const u32 threads : {1u, 2u, 8u}) {
-      runs.push_back(run_channel_cell(channels, threads, 42));
-    }
-    EXPECT_TRUE(runs[0].completed);
-    EXPECT_GT(runs[0].writes, 0u);
-    EXPECT_GT(runs[0].reads, 0u);
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-      SCOPED_TRACE("sim_threads index " + std::to_string(i));
-      expect_identical(runs[0], runs[i]);
-    }
+  // Same seed => the recorded RunMetrics at every channel count.
+  const u32 channels[] = {1, 2, 8};
+  const u64 want[] = {0x97c3950448a73ea5ull, 0xb83c1dc92526c59bull,
+                      0x08e7fd54e73b3110ull};
+  for (std::size_t i = 0; i < std::size(channels); ++i) {
+    SCOPED_TRACE("channels=" + std::to_string(channels[i]));
+    const auto m = run_channel_cell(channels[i], 42);
+    EXPECT_TRUE(m.completed);
+    EXPECT_GT(m.writes, 0u);
+    EXPECT_GT(m.reads, 0u);
+    expect_pinned(m, want[i]);
   }
 }
 
 TEST(Determinism, ChannelsActuallyShard) {
-  // Guard against a vacuous pass of the invariance test: adding channels
+  // Guard against a vacuous pass of the channel locks: adding channels
   // must change behavior (more write bandwidth => shorter runtime), i.e.
   // the multi-channel path is really being exercised.
-  const auto one = run_channel_cell(1, 1, 42);
-  const auto eight = run_channel_cell(8, 1, 42);
+  const auto one = run_channel_cell(1, 42);
+  const auto eight = run_channel_cell(8, 42);
   ASSERT_TRUE(one.completed);
   ASSERT_TRUE(eight.completed);
   EXPECT_LT(eight.runtime_ns, one.runtime_ns);
@@ -210,47 +227,29 @@ TEST(Determinism, ChannelsActuallyShard) {
 
 TEST(Determinism, TraceBytesInvariantAcrossThreadsAndChannels) {
   // Stronger than metric equality: the collected trace (ring creation
-  // order + stable in-ring order + manifest, which deliberately excludes
-  // sim_threads from config_hash) must serialize to identical bytes at
-  // every pool-thread count.
-  for (const u32 channels : {1u, 8u}) {
-    SCOPED_TRACE("channels=" + std::to_string(channels));
-    std::string baseline;
-    for (const u32 threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-      const std::string path = testing::TempDir() + "tw_det_trace_c" +
-                               std::to_string(channels) + "_t" +
-                               std::to_string(threads) + ".json";
-      const auto m = run_channel_cell(channels, threads, 42, path);
-      EXPECT_TRUE(m.completed);
-      EXPECT_GT(m.trace_records, 0u);
-      std::ifstream in(path, std::ios::binary);
-      ASSERT_TRUE(in.is_open()) << path;
-      std::string bytes((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-      in.close();
-      std::remove(path.c_str());
-      ASSERT_FALSE(bytes.empty());
-      if (baseline.empty()) {
-        baseline = bytes;
-      } else {
-        EXPECT_EQ(baseline, bytes)
-            << "trace bytes drifted with the pool-thread count";
-      }
-    }
+  // order + stable in-ring order + manifest) must serialize to the
+  // recorded bytes, apart from the build's version and git sha.
+  const u32 channels[] = {1, 8};
+  const u64 want[] = {0xa009c09429110111ull, 0x99e82c79e66a05abull};
+  for (std::size_t i = 0; i < std::size(channels); ++i) {
+    SCOPED_TRACE("channels=" + std::to_string(channels[i]));
+    const std::string path = testing::TempDir() + "tw_det_trace_c" +
+                             std::to_string(channels[i]) + ".json";
+    const auto m = run_channel_cell(channels[i], 42, path);
+    EXPECT_TRUE(m.completed);
+    EXPECT_GT(m.trace_records, 0u);
+    expect_trace_pinned(path, want[i]);
   }
 }
 
 /// One vips/Tetris cell with PALP on at the given partition and channel
 /// counts (and optional Chrome trace path).
-harness::RunMetrics run_palp_cell(u32 partitions, u32 channels,
-                                  u32 sim_threads, u64 seed,
+harness::RunMetrics run_palp_cell(u32 partitions, u32 channels, u64 seed,
                                   const std::string& trace_path = "") {
   harness::SystemConfig cfg = small_config(seed);
   cfg.pcm.geometry.subarrays_per_bank = partitions;
   cfg.pcm.geometry.channels = channels;
   cfg.controller.palp.enabled = true;
-  cfg.sim_threads = sim_threads;
   cfg.trace.chrome_path = trace_path;
   return harness::run_system(cfg, workload::profile_by_name("vips"),
                              schemes::SchemeKind::kTetris);
@@ -259,65 +258,48 @@ harness::RunMetrics run_palp_cell(u32 partitions, u32 channels,
 TEST(Determinism, PalpThreadCountInvariant) {
   // PALP admission decisions depend on in-flight state (pump load, rww
   // reads), the kind of bookkeeping where scheduling nondeterminism would
-  // leak first. Same seed => bit-identical metrics at every
-  // (partitions, channels, sim_threads) point.
-  for (const u32 partitions : {1u, 4u}) {
-    for (const u32 channels : {1u, 8u}) {
-      SCOPED_TRACE("partitions=" + std::to_string(partitions) +
-                   " channels=" + std::to_string(channels));
-      std::vector<harness::RunMetrics> runs;
-      for (const u32 threads : {1u, 4u}) {
-        runs.push_back(run_palp_cell(partitions, channels, threads, 42));
-      }
-      EXPECT_TRUE(runs[0].completed);
-      EXPECT_GT(runs[0].writes, 0u);
-      EXPECT_GT(runs[0].reads, 0u);
-      if (partitions == 1) {
+  // leak first. Same seed => the recorded metrics at every
+  // (partitions, channels) point.
+  const u64 want[2][2] = {{0x97c3950448a73ea5ull, 0x08e7fd54e73b3110ull},
+                          {0x6a0b9de10f59d9e1ull, 0xd6969eda43ac778full}};
+  const u32 partitions[] = {1, 4};
+  const u32 channels[] = {1, 8};
+  for (std::size_t p = 0; p < 2; ++p) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      SCOPED_TRACE("partitions=" + std::to_string(partitions[p]) +
+                   " channels=" + std::to_string(channels[c]));
+      const auto m = run_palp_cell(partitions[p], channels[c], 42);
+      EXPECT_TRUE(m.completed);
+      EXPECT_GT(m.writes, 0u);
+      EXPECT_GT(m.reads, 0u);
+      if (partitions[p] == 1) {
         // Degenerate geometry: PALP is inert and its counters stay zero.
-        EXPECT_EQ(runs[0].palp_overlapped_reads, 0u);
-        EXPECT_EQ(runs[0].palp_pump_stalls, 0u);
-        EXPECT_EQ(runs[0].palp_write_overlaps, 0u);
+        EXPECT_EQ(m.palp_overlapped_reads, 0u);
+        EXPECT_EQ(m.palp_pump_stalls, 0u);
+        EXPECT_EQ(m.palp_write_overlaps, 0u);
+      } else {
+        // Guard against a vacuous pass: at 4 partitions PALP must
+        // actually overlap something.
+        EXPECT_GT(m.palp_overlapped_reads + m.palp_write_overlaps, 0u);
       }
-      for (std::size_t i = 1; i < runs.size(); ++i) {
-        SCOPED_TRACE("sim_threads index " + std::to_string(i));
-        expect_identical(runs[0], runs[i]);
-      }
+      expect_pinned(m, want[p][c]);
     }
   }
-  // Guard against a vacuous pass: at 4 partitions PALP must actually
-  // overlap something.
-  const auto active = run_palp_cell(4, 1, 1, 42);
-  EXPECT_GT(active.palp_overlapped_reads + active.palp_write_overlaps, 0u);
 }
 
 TEST(Determinism, PalpTraceBytesInvariant) {
   // The palp trace category rides in the same rings as everything else,
-  // so the byte-identity promise must hold with PALP emitting spans too.
-  for (const u32 partitions : {1u, 4u}) {
-    SCOPED_TRACE("partitions=" + std::to_string(partitions));
-    std::string baseline;
-    for (const u32 threads : {1u, 4u}) {
-      SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-      const std::string path = testing::TempDir() + "tw_palp_trace_p" +
-                               std::to_string(partitions) + "_t" +
-                               std::to_string(threads) + ".json";
-      const auto m = run_palp_cell(partitions, 1, threads, 42, path);
-      EXPECT_TRUE(m.completed);
-      EXPECT_GT(m.trace_records, 0u);
-      std::ifstream in(path, std::ios::binary);
-      ASSERT_TRUE(in.is_open()) << path;
-      std::string bytes((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-      in.close();
-      std::remove(path.c_str());
-      ASSERT_FALSE(bytes.empty());
-      if (baseline.empty()) {
-        baseline = bytes;
-      } else {
-        EXPECT_EQ(baseline, bytes)
-            << "palp trace bytes drifted with the pool-thread count";
-      }
-    }
+  // so the recorded trace bytes must hold with PALP emitting spans too.
+  const u32 partitions[] = {1, 4};
+  const u64 want[] = {0xa94b7d6d24b8abcaull, 0x825a29bf4758f5f1ull};
+  for (std::size_t i = 0; i < std::size(partitions); ++i) {
+    SCOPED_TRACE("partitions=" + std::to_string(partitions[i]));
+    const std::string path = testing::TempDir() + "tw_palp_trace_p" +
+                             std::to_string(partitions[i]) + ".json";
+    const auto m = run_palp_cell(partitions[i], 1, 42, path);
+    EXPECT_TRUE(m.completed);
+    EXPECT_GT(m.trace_records, 0u);
+    expect_trace_pinned(path, want[i]);
   }
 }
 
