@@ -37,7 +37,6 @@ struct ConfigFlag {
 inline constexpr ConfigFlag kConfigFlags[] = {
     {"--channels=", "pcm.channels"},
     {"--interleave=", "pcm.channel_interleave"},
-    {"--sim-threads=", "sys.sim_threads"},
     {"--subarrays=", "pcm.subarrays"},
     {"--batch-lines=", "batch.max_lines"},
     {"--palp", "palp.enabled"},
@@ -122,7 +121,6 @@ struct Options {
       } else if (arg == "--help" || arg == "-h") {
         std::cout << "flags: --quick --ops=N --seed=N --threads=N "
                      "--channels=N --interleave=line|bank|row "
-                     "--sim-threads=N "
                      "--subarrays=N --batch-lines=N "
                      "--palp --palp-ways=N --palp-rww=N "
                      "--dram --dram-mb=N --dram-policy=lru|mac "

@@ -4,8 +4,8 @@
 // channels = 1/2/4/8 with everything else fixed and reports, per point:
 //
 //   * wall-clock simulator events per second (kernel throughput of the
-//     sharded engine — the number the BENCH_channels.json regression
-//     gate tracks), and
+//     sharded engine's serial lockstep loop — the number the
+//     BENCH_channels.json regression gate tracks), and
 //   * simulated aggregate write throughput: serviced line writes per
 //     simulated second. Adding channels multiplies the write bandwidth
 //     the cores can sink, so a memory-bound run finishes in ~1/C the
@@ -13,10 +13,10 @@
 //
 // The scaling gate is on the *simulated* aggregate throughput
 // (agg_scaling_8ch = thpt(8ch) / thpt(1ch), required >= 6x): wall-clock
-// speedup depends on the runner's core count (CI containers often pin
-// us to one hardware thread, where the channel phase serializes), while
-// the simulated bandwidth a sharded topology delivers is
-// machine-independent and deterministic.
+// throughput depends on the runner, and a run on one thread gains no
+// wall time from more channels (each adds simulator events), while the
+// simulated bandwidth a sharded topology delivers is machine-independent
+// and deterministic.
 
 #include <cstdio>
 #include <vector>

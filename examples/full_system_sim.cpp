@@ -12,11 +12,15 @@
 // it the profile's RPKI/WPKI are memory-level (Table III semantics).
 // --config loads an experiment configuration file (see
 // tw/harness/config_file.hpp); --dump-config prints the effective
-// configuration in that format and exits.
+// configuration in that format and exits. --instr, --cores and --seed set
+// the config keys sys.instructions, sys.cores and sys.seed, so a value
+// the key rejects exits 2 with the key's message, as does an unknown flag.
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "tw/common/strings.hpp"
 #include "tw/common/table.hpp"
@@ -26,6 +30,24 @@
 #include "tw/workload/cache_filtered.hpp"
 
 using namespace tw;
+
+namespace {
+
+constexpr const char* kUsage =
+    "usage: full_system_sim [--workload=NAME] [--scheme=NAME] [--cache]\n"
+    "                       [--instr=N] [--cores=N] [--seed=N]\n"
+    "                       [--config=FILE] [--dump-config]\n";
+
+/// Flags that set one config-file key each.
+struct KeyFlag {
+  std::string_view flag;
+  std::string_view key;
+};
+constexpr KeyFlag kKeyFlags[] = {{"--instr=", "sys.instructions"},
+                                 {"--cores=", "sys.cores"},
+                                 {"--seed=", "sys.seed"}};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::string workload_name = "ferret";
@@ -47,18 +69,33 @@ int main(int argc, char** argv) {
   }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (starts_with(arg, "--workload=")) workload_name = arg.substr(11);
-    if (starts_with(arg, "--scheme=")) scheme_name = arg.substr(9);
-    if (arg == "--cache") use_cache = true;
-    if (arg == "--dump-config") dump_config = true;
-    if (starts_with(arg, "--instr="))
-      sys.instructions_per_core =
-          std::strtoull(arg.c_str() + 8, nullptr, 10);
-    if (starts_with(arg, "--cores="))
-      sys.cores =
-          static_cast<u32>(std::strtoul(arg.c_str() + 8, nullptr, 10));
-    if (starts_with(arg, "--seed="))
-      sys.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+    if (starts_with(arg, "--config=")) continue;  // applied above
+    if (starts_with(arg, "--workload=")) {
+      workload_name = arg.substr(11);
+    } else if (starts_with(arg, "--scheme=")) {
+      scheme_name = arg.substr(9);
+    } else if (arg == "--cache") {
+      use_cache = true;
+    } else if (arg == "--dump-config") {
+      dump_config = true;
+    } else if (arg == "--help" || arg == "-h") {
+      std::cout << kUsage;
+      return 0;
+    } else {
+      const auto* kf = std::find_if(
+          std::begin(kKeyFlags), std::end(kKeyFlags),
+          [&](const KeyFlag& f) { return starts_with(arg, f.flag); });
+      if (kf == std::end(kKeyFlags)) {
+        std::cerr << "unknown flag '" << arg << "'\n" << kUsage;
+        return 2;
+      }
+      try {
+        harness::set_config_key(sys, kf->key, arg.substr(kf->flag.size()));
+      } catch (const std::exception& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+      }
+    }
   }
   if (dump_config) {
     harness::write_system_config(sys, std::cout);

@@ -4,8 +4,8 @@
 //   $ ./trace_tool info <in.trace>
 //
 // The binary trace format is documented in tw/workload/trace_io.hpp.
-// Traces make experiments replayable and let you diff request streams
-// across configuration changes.
+// A trace file holds a generator's request stream for offline inspection,
+// e.g. to diff request streams across configuration changes.
 
 #include <iostream>
 #include <map>

@@ -200,12 +200,12 @@ const Key kKeys[] = {
      [](SystemConfig& c) -> Field { return &c.xbar_latency; }, Unit::kNs,
      Rule::kPositive, {},
      "it is also the sharded engine's lockstep quantum"},
-    {"sys.sim_threads",
-     [](SystemConfig& c) -> Field { return &c.sim_threads; }},
     // -- run ---------------------------------------------------------------
-    {"sys.cores", [](SystemConfig& c) -> Field { return &c.cores; }},
+    {"sys.cores", [](SystemConfig& c) -> Field { return &c.cores; },
+     Unit::kPlain, Rule::kPositive},
     {"sys.instructions",
-     [](SystemConfig& c) -> Field { return &c.instructions_per_core; }},
+     [](SystemConfig& c) -> Field { return &c.instructions_per_core; },
+     Unit::kPlain, Rule::kPositive},
     {"sys.seed", [](SystemConfig& c) -> Field { return &c.seed; }},
 };
 
@@ -217,11 +217,13 @@ struct Expected {
   std::string what;
 };
 
-u64 parse_uint(std::string_view v, u64 max) {
+u64 parse_uint(std::string_view v, u64 min, u64 max) {
   u64 out = 0;
   const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc{} || end != v.data() + v.size() || out > max) {
-    throw Expected{"an integer in [0, " + std::to_string(max) + "]"};
+  if (ec != std::errc{} || end != v.data() + v.size() || out < min ||
+      out > max) {
+    throw Expected{"an integer in [" + std::to_string(min) + ", " +
+                   std::to_string(max) + "]"};
   }
   return out;
 }
@@ -274,8 +276,8 @@ std::string format_double(double v) {
 
 u64 parse_integer(const Key& k, std::string_view v, u64 max) {
   if (k.unit == Unit::kMb) return parse_mb(v);
-  const u64 n = parse_uint(v, k.unit == Unit::kNs ? max / 1000 : max);
-  if (k.rule == Rule::kPositive && n == 0) throw Expected{">= 1"};
+  const u64 n = parse_uint(v, k.rule == Rule::kPositive ? 1 : 0,
+                          k.unit == Unit::kNs ? max / 1000 : max);
   if (k.rule == Rule::kPowerOfTwo && (n == 0 || (n & (n - 1)) != 0)) {
     throw Expected{"a power of two >= 1"};
   }

@@ -215,8 +215,7 @@ u64 config_hash(const SystemConfig& cfg) {
   h = mix(h, cfg.pcm.geometry.ranks);
   h = mix(h, cfg.pcm.geometry.subarrays_per_bank);
   h = mix(h, cfg.pcm.geometry.capacity_bytes);
-  // Channel topology (sim_threads is deliberately excluded: it never
-  // affects results).
+  // Channel topology.
   h = mix(h, cfg.pcm.geometry.channels);
   h = mix(h, static_cast<u64>(cfg.pcm.geometry.channel_interleave));
   h = mix(h, cfg.xbar_latency);
@@ -314,7 +313,7 @@ RunMetrics run_system(const SystemConfig& cfg,
   if (cfg.batch.max_lines > 0) ccfg.write_batch = cfg.batch.max_lines;
   mem::MemorySystem msys(sim, cfg.pcm, ccfg, factory, reg, cfg.fault,
                          cfg.seed, profile.initial_ones_fraction,
-                         cfg.xbar_latency, cfg.sim_threads, cfg.dram);
+                         cfg.xbar_latency, 0, cfg.dram);
   const u32 channels = msys.channels();
   workload::TraceGenerator gen(profile, cfg.pcm.geometry, cfg.cores,
                                cfg.seed * 0x9E3779B9u + 7);
@@ -324,8 +323,8 @@ RunMetrics run_system(const SystemConfig& cfg,
   // Observability: attach the tracer to this thread for the duration of
   // the run, sample gauges on the metrics epoch, and serialize at the end.
   // Multi-channel runs bind one pre-created ring per simulation domain
-  // instead of a plain thread attach, so trace bytes stay identical at
-  // every thread count.
+  // instead of a plain thread attach: records collect domain by domain
+  // in a fixed order, and each domain has its own ring capacity.
   const bool traced = cfg.trace.enabled();
   std::optional<trace::Tracer> tracer;
   std::optional<trace::Tracer::Attach> attach;

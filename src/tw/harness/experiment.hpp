@@ -25,8 +25,8 @@ struct TraceConfig {
   u32 categories = trace::kAllCategories;
   /// Metrics sampling epoch (simulated time between snapshots).
   Tick metrics_epoch = us(1);
-  /// Per-thread ring capacity in records (rounded up to a power of two);
-  /// long runs keep the most recent window.
+  /// Ring capacity in records, per simulation domain (rounded up to a
+  /// power of two); long runs keep the most recent window.
   u64 ring_capacity = trace::TraceRing::kDefaultCapacity;
 
   bool enabled() const {
@@ -62,9 +62,7 @@ struct SystemConfig {
   /// also the sharded engine's lockstep quantum. Only modeled when
   /// pcm.geometry.channels > 1.
   Tick xbar_latency = ns(20);
-  /// Pool-thread cap for the parallel channel phase (0 = all available).
-  /// Never affects results — same-seed runs are bit-identical at any
-  /// value — so it is excluded from config_hash.
+  /// Read by nothing; goes when perfbench drops its two-thread check pass.
   u32 sim_threads = 0;
   /// Safety cap on simulated time; a run that exceeds it is marked
   /// incomplete rather than hanging.
@@ -103,7 +101,7 @@ struct RunMetrics {
   u64 writes_batched = 0; ///< writes serviced in multi-line batches
   double batch_lines = 0.0;      ///< mean lines per multi-line batch issue
   double batch_occupancy = 0.0;  ///< mean budget utilization of joint packs
-  // Controller queue statistics (thread-count invariant like the rest).
+  // Controller queue statistics.
   u64 reads_forwarded = 0;   ///< reads served from queued write data
   u64 writes_coalesced = 0;  ///< writes merged into a queued same-line write
   u64 read_q_peak = 0;       ///< deepest the read queue ever got

@@ -27,7 +27,7 @@
 // Determinism: every tier mutation happens on the front simulation
 // domain (CPU enqueue, front-sim completion events, credit-release
 // messages), so ShardedEngine lockstep runs stay bit-identical at every
-// thread x channel count without any tier-side synchronization.
+// channel count without any tier-side ordering of its own.
 
 #include <deque>
 #include <string>

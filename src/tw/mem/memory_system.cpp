@@ -14,8 +14,8 @@ MemorySystem::MemorySystem(sim::Simulator& front_sim,
                            const SchemeFactory& factory,
                            stats::Registry& registry,
                            const fault::FaultConfig& fault, u64 seed,
-                           double ones_bias, Tick xbar_latency,
-                           u32 sim_threads, const DramConfig& dram)
+                           double ones_bias, Tick xbar_latency, u32,
+                           const DramConfig& dram)
     : front_(front_sim),
       main_reg_(registry),
       map_(pcm.geometry),
@@ -41,7 +41,7 @@ MemorySystem::MemorySystem(sim::Simulator& front_sim,
                                           registry, seed, ones_bias,
                                           ch.fmodel.get());
   } else {
-    engine_ = std::make_unique<sim::ShardedEngine>(xbar_latency, sim_threads);
+    engine_ = std::make_unique<sim::ShardedEngine>(xbar_latency);
     const u32 front_domain = engine_->add_domain(front_sim);
     TW_ASSERT(front_domain == 0);
 
@@ -233,8 +233,8 @@ u64 MemorySystem::executed_events() const {
 
 void MemorySystem::merge_stats() {
   if (channels_ == 1) return;
-  // Fixed channel order keeps merged accumulator arithmetic (and thus
-  // reported doubles) identical at every thread count.
+  // Fixed channel order fixes the merged accumulator arithmetic (and
+  // thus the reported doubles).
   for (const Channel& ch : chans_) main_reg_.merge_from(*ch.reg);
 }
 

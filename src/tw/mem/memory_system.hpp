@@ -67,15 +67,15 @@ class MemorySystem : public MemoryInterface {
   /// registry: channels == 1 registers stats there directly; channels > 1
   /// uses per-channel registries folded in by merge_stats().
   /// `xbar_latency` is both the modeled XBar hop latency and the sharded
-  /// quantum; `sim_threads` caps pool threads for the channel phase (0 =
-  /// all).
+  /// quantum. The unnamed u32 after it is read by nothing; it goes when
+  /// perfbench drops its two-thread check pass.
   /// `dram` optionally fronts every channel with a DramTier absorbing
   /// hot lines before the PCM write path; the default (disabled) keeps
   /// every code path bit-identical to a system without the tier.
   MemorySystem(sim::Simulator& front_sim, const pcm::PcmConfig& pcm,
                const ControllerConfig& ccfg, const SchemeFactory& factory,
                stats::Registry& registry, const fault::FaultConfig& fault,
-               u64 seed, double ones_bias, Tick xbar_latency, u32 sim_threads,
+               u64 seed, double ones_bias, Tick xbar_latency, u32,
                const DramConfig& dram = {});
   ~MemorySystem() override;
 
@@ -116,9 +116,9 @@ class MemorySystem : public MemoryInterface {
   void merge_stats();
 
   /// Pre-create one ring per domain (front first, then channels in
-  /// order) and bind them to the engine, so trace bytes are identical at
-  /// every thread count. No-op for channels == 1 (the plain Attach path
-  /// applies). Call before run().
+  /// order) and bind them to the engine, so the trace's record order is
+  /// fixed by domain and each domain gets its own ring capacity. No-op
+  /// for channels == 1 (the plain Attach path applies). Call before run().
   void bind_trace(trace::Tracer& tracer);
 
   /// Ring bound to the front domain (nullptr unless bind_trace ran).

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 
-#include "tw/common/parallel.hpp"
-
 namespace tw::sim {
 
 void ShardedEngine::run_domain(u32 di, Tick limit) {
   Domain& d = domains_[di];
-  // Install the domain's ring for the duration of the quantum so records
-  // land deterministically regardless of which pool thread runs it. An
-  // unbound domain emits nothing (ring == nullptr gates every category).
+  // Install the domain's ring for the duration of the quantum so its
+  // records land in its own ring. An unbound domain emits nothing
+  // (ring == nullptr gates every category).
   const trace::ThreadState saved = trace::g_tls;
   trace::g_tls.ring = d.ring;
   trace::g_tls.mask = d.ring != nullptr ? d.mask : 0;
@@ -46,9 +44,11 @@ u64 ShardedEngine::run(Tick limit) {
   const u64 before = executed_total();
   const u32 n = static_cast<u32>(domains_.size());
   for (;;) {
-    // Deliver messages posted from outside any window (e.g. front-side
-    // enqueues made between run() calls) so the peek below can see them.
-    // Mid-loop this is a no-op: phase 3 already drained every outbox.
+    // Barrier: outboxes drain in fixed source order, which fixes the
+    // destination sequence numbers. A message posted in a window fires
+    // at >= wstart + quantum > wend, hence >= dst.now(). The drain also
+    // delivers messages posted between run() calls (e.g. front-side
+    // enqueues), so the peek below can see them.
     for (u32 s = 0; s < n; ++s) {
       for (Pending& p : domains_[s].outbox) deliver(p);
       domains_[s].outbox.clear();
@@ -65,22 +65,8 @@ u64 ShardedEngine::run(Tick limit) {
     Tick wend = wstart + quantum_ - 1;
     if (wend > limit) wend = limit;
 
-    // Phase 1: the front domain, serially on the calling thread.
-    run_domain(0, wend);
-    // Phase 2: channel domains, concurrently. The pool barrier inside
-    // parallel_for orders these writes before the drain below.
-    if (n > 1) {
-      parallel_for(
-          n - 1, [&](std::size_t i) { run_domain(static_cast<u32>(i) + 1, wend); },
-          threads_);
-    }
-    // Phase 3: serial barrier. Outboxes drain in fixed source order, so
-    // destination sequence numbers are identical at every thread count.
-    // Every fire tick is >= wstart + quantum > wend, hence >= dst.now().
-    for (u32 s = 0; s < n; ++s) {
-      for (Pending& p : domains_[s].outbox) deliver(p);
-      domains_[s].outbox.clear();
-    }
+    // The front, then the channel domains in index order.
+    for (u32 d = 0; d < n; ++d) run_domain(d, wend);
   }
   // Advance every clock to the limit (fires nothing: all remaining
   // events are strictly later).

@@ -1,25 +1,25 @@
 #pragma once
 // Sharded event loop: several Simulator instances ("domains") advance in
 // lockstep through aligned time-quanta, with cross-domain interaction
-// carried by latency-Q messages. Domain 0 is the serial front (CPU cores,
+// carried by latency-Q messages. Domain 0 is the front (CPU cores,
 // caches, the XBar routing logic); domains 1..C are the per-channel
-// memory controllers and run concurrently on the shared ThreadPool.
+// memory controllers. Each window runs the front, then the channels in
+// index order, all on the calling thread.
 //
-// Determinism argument (conservative parallel DES with lookahead):
-// the quantum width equals the XBar latency Q. A message posted while
-// its source executes window [W, W+Q) fires at send_tick + Q, which is
-// always >= W+Q — strictly beyond the window — so nothing a domain does
-// inside a window can affect any other domain in the same window. The
-// execution order of domains within a window is therefore irrelevant,
-// and the serial barrier drains outboxes in fixed source order (0..C),
-// assigning destination-simulator sequence numbers identically at every
-// thread count. Same seed => bit-identical events, metrics and traces.
+// Window protocol: the quantum width equals the XBar latency Q. A
+// message posted while its source executes window [W, W+Q) fires at
+// send_tick + Q, which is always >= W+Q — strictly beyond the window —
+// so nothing a domain does inside a window can affect any other domain
+// in the same window. Messages therefore wait in the source's outbox
+// until the window ends, and the barrier drains outboxes in fixed source
+// order (0..C), which fixes the destination-simulator sequence numbers.
+// Same seed => bit-identical events, metrics and traces.
 //
 // Trace binding: each domain can be bound to a pre-created TraceRing;
 // the engine installs it into the thread-local emission state around the
-// domain's quantum, so records land in the same ring no matter which
-// pool thread ran the domain (rings are collected in creation order,
-// keeping trace bytes thread-count-independent).
+// domain's quantum. Rings are collected in creation order, so the record
+// order of a multi-channel trace is fixed by domain, and each domain's
+// ring has its own capacity.
 
 #include <vector>
 
@@ -38,9 +38,8 @@ class ShardedEngine {
   using Message = BasicInlineFunction<64, true>;
 
   /// quantum: window width in ticks == modeled XBar latency (>= 1).
-  /// threads: cap on pool threads for the channel phase (0 = all).
-  ShardedEngine(Tick quantum, u32 threads)
-      : quantum_(quantum == 0 ? 1 : quantum), threads_(threads) {}
+  explicit ShardedEngine(Tick quantum)
+      : quantum_(quantum == 0 ? 1 : quantum) {}
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
@@ -54,7 +53,9 @@ class ShardedEngine {
   }
 
   /// Bind a domain's trace emission to `ring` under category `mask`
-  /// (nullptr = domain emits nothing). Call before run().
+  /// (nullptr = domain emits nothing). A ring per domain keeps each
+  /// domain's records together in collection order and gives each its
+  /// own capacity. Call before run().
   void bind_trace(u32 domain, trace::TraceRing* ring, u32 mask) {
     domains_[domain].ring = ring;
     domains_[domain].mask = mask;
@@ -62,8 +63,7 @@ class ShardedEngine {
 
   /// Post a message from domain `src` to domain `dst`; it executes as a
   /// dst event at src.now() + quantum with priority `prio`. Must only be
-  /// called from code running inside domain `src` (its outbox is
-  /// domain-private during the window).
+  /// called from code running inside domain `src`.
   void post(u32 src, u32 dst, Priority prio, Message msg) {
     domains_[src].outbox.push_back(
         Pending{dst, domains_[src].sim->now() + quantum_, prio,
@@ -106,7 +106,6 @@ class ShardedEngine {
 
   std::vector<Domain> domains_;
   Tick quantum_;
-  u32 threads_;
 };
 
 }  // namespace tw::sim

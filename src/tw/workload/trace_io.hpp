@@ -1,6 +1,6 @@
 #pragma once
-// Binary trace record/replay: capture a generated request stream to disk
-// so experiments can be replayed exactly (or traces inspected offline).
+// Binary trace files: capture a generated request stream to disk so it
+// can be inspected offline (see the trace_tool example).
 //
 // Format (little-endian):
 //   magic "TWTRACE1" (8 bytes)

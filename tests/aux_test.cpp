@@ -1,5 +1,5 @@
-// Tests for the auxiliary substrate: trace replay, repeated-seed
-// statistics, the SVG chart emitter, and the MLC cell model.
+// Tests for the auxiliary substrate: repeated-seed statistics, the SVG
+// chart emitter, and the MLC cell model.
 
 #include <gtest/gtest.h>
 
@@ -9,74 +9,10 @@
 #include "tw/core/factory.hpp"
 #include "tw/harness/repeated.hpp"
 #include "tw/pcm/mlc.hpp"
-#include "tw/workload/replay.hpp"
+#include "tw/workload/profiles.hpp"
 
 namespace tw {
 namespace {
-
-// ---------------------------------------------------------------- replay --
-TEST(Replay, ReproducesRecordedStream) {
-  const auto& p = workload::profile_by_name("dedup");
-  const pcm::GeometryParams g;
-  workload::TraceGenerator gen(p, g, 2, 7);
-  const auto records = workload::capture(gen, 2, 50);
-
-  workload::TraceReplaySource replay(records, 2, p, g, 9);
-  for (u32 c = 0; c < 2; ++c) {
-    for (u32 i = 0; i < 50; ++i) {
-      const workload::TraceOp op = replay.next(c);
-      const auto& r = records[c * 50 + i];
-      EXPECT_EQ(op.addr, r.addr);
-      EXPECT_EQ(op.gap, r.gap);
-      EXPECT_EQ(op.is_write, r.is_write);
-    }
-  }
-}
-
-TEST(Replay, WrapsAround) {
-  const auto& p = workload::profile_by_name("vips");
-  const pcm::GeometryParams g;
-  workload::TraceGenerator gen(p, g, 1, 7);
-  const auto records = workload::capture(gen, 1, 10);
-  workload::TraceReplaySource replay(records, 1, p, g, 9);
-  for (int i = 0; i < 25; ++i) replay.next(0);
-  EXPECT_EQ(replay.wraps(0), 2u);
-  // Wrapped stream repeats the recorded addresses.
-  EXPECT_EQ(replay.next(0).addr, records[5].addr);
-}
-
-TEST(Replay, RejectsCoreWithoutRecords) {
-  const auto& p = workload::profile_by_name("vips");
-  const pcm::GeometryParams g;
-  std::vector<workload::TraceRecord> records(1);
-  records[0].core = 0;
-  EXPECT_THROW(workload::TraceReplaySource(records, 2, p, g, 1),
-               ContractViolation);
-}
-
-TEST(Replay, DrivesFullSystemDeterministically) {
-  const auto& p = workload::profile_by_name("ferret");
-  const pcm::PcmConfig cfg = pcm::table2_config();
-  workload::TraceGenerator gen(p, cfg.geometry, 2, 5);
-  const auto records = workload::capture(gen, 2, 400);
-
-  auto run_once = [&]() {
-    sim::Simulator sim;
-    stats::Registry reg;
-    const auto scheme =
-        core::make_scheme(schemes::SchemeKind::kTetris, cfg);
-    mem::Controller ctl(sim, cfg, mem::ControllerConfig{}, *scheme, reg);
-    workload::TraceReplaySource src(records, 2, p, cfg.geometry, 11);
-    cpu::MultiCore cpus(sim, cpu::CoreConfig{}, 2, ctl, src, 30'000);
-    cpus.start();
-    sim.run(ms(5'000));
-    return cpus.runtime();
-  };
-  const Tick a = run_once();
-  const Tick b = run_once();
-  EXPECT_GT(a, 0u);
-  EXPECT_EQ(a, b);
-}
 
 // -------------------------------------------------------------- repeated --
 TEST(Repeated, SummariesAreConsistent) {

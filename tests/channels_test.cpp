@@ -135,14 +135,12 @@ TEST(ChannelConfig, FileKeysParse) {
   std::istringstream in(
       "pcm.channels = 4\n"
       "pcm.channel_interleave = bank\n"
-      "xbar.latency_ns = 35\n"
-      "sys.sim_threads = 2\n");
+      "xbar.latency_ns = 35\n");
   const harness::SystemConfig cfg = harness::parse_system_config(in);
   EXPECT_EQ(cfg.pcm.geometry.channels, 4u);
   EXPECT_EQ(cfg.pcm.geometry.channel_interleave,
             pcm::ChannelInterleave::kBank);
   EXPECT_EQ(cfg.xbar_latency, ns(35));
-  EXPECT_EQ(cfg.sim_threads, 2u);
 }
 
 TEST(ChannelConfig, BadChannelCountSurfacesActionableError) {
@@ -185,7 +183,6 @@ TEST(ChannelConfig, RoundTripsThroughWriter) {
   cfg.pcm.geometry.channels = 8;
   cfg.pcm.geometry.channel_interleave = pcm::ChannelInterleave::kRow;
   cfg.xbar_latency = ns(25);
-  cfg.sim_threads = 4;
   std::ostringstream out;
   harness::write_system_config(cfg, out);
   std::istringstream in(out.str());
@@ -194,7 +191,6 @@ TEST(ChannelConfig, RoundTripsThroughWriter) {
   EXPECT_EQ(back.pcm.geometry.channel_interleave,
             pcm::ChannelInterleave::kRow);
   EXPECT_EQ(back.xbar_latency, ns(25));
-  EXPECT_EQ(back.sim_threads, 4u);
 }
 
 // --------------------------------------------------------- stats merges --
@@ -234,8 +230,7 @@ TEST(MemorySystemSharded, RoutesCompletesAndKeepsEveryChannelBusy) {
     return core::make_scheme(schemes::SchemeKind::kDcw, pc);
   };
   mem::MemorySystem msys(front, pc, cc, factory, reg, fault, /*seed=*/42,
-                         /*ones_bias=*/0.35, /*xbar_latency=*/ns(20),
-                         /*sim_threads=*/0);
+                         /*ones_bias=*/0.35, /*xbar_latency=*/ns(20), 0);
   ASSERT_EQ(msys.channels(), 4u);
 
   u64 reads_done = 0, writes_done = 0;

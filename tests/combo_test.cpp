@@ -158,7 +158,6 @@ TEST(Combo, AllFeaturesMemoryBoundedUnderAddressSpaceLimit) {
   // Multi-channel: per-channel controllers each key their own regions.
   harness::SystemConfig multi = everything_on();
   multi.pcm.geometry.channels = 4;
-  multi.sim_threads = 2;
   EXPECT_EXIT(run_bounded(multi, "canneal"), ::testing::ExitedWithCode(0),
               "");
   // Sparse: a handful of lines spread over the whole 48-bit space, one

@@ -188,7 +188,7 @@ TEST_P(SynthesizeOnce, RefusedWritesReofferTheSamePayload) {
       workload::profile_by_name("vips");
   mem::MemorySystem msys(front, pc, cc, factory, reg, fault::FaultConfig{},
                          /*seed=*/42, profile.initial_ones_fraction,
-                         /*xbar_latency=*/ns(20), /*sim_threads=*/1);
+                         /*xbar_latency=*/ns(20), 0);
   RefusalCounter mem(msys);
   workload::TraceGenerator gen(profile, pc.geometry, kCores, 7);
   CountingSource src(gen);

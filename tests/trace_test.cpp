@@ -23,6 +23,8 @@
 #include "tw/trace/tracer.hpp"
 #include "tw/workload/profiles.hpp"
 
+#include "run_digest.hpp"
+
 namespace tw {
 namespace {
 
@@ -32,6 +34,7 @@ using trace::Op;
 using trace::TraceRecord;
 using trace::TraceRing;
 using trace::Track;
+using testing_digest::trace_digest;
 
 TraceRecord rec(Tick tick, u64 arg0 = 0) {
   TraceRecord r;
@@ -421,23 +424,6 @@ TEST(TraceSystemTest, SameSeedTracesAreByteIdentical) {
   EXPECT_EQ(ja, jb);
   std::remove(a.c_str());
   std::remove(b.c_str());
-}
-
-/// FNV-1a over a Chrome trace, skipping the manifest's "version" and
-/// "git_sha" values (they name the build, not the run).
-u64 trace_digest(const std::string& json) {
-  std::string body = json;
-  for (const char* key : {"\"version\":\"", "\"git_sha\":\""}) {
-    const std::size_t at = body.find(key);
-    if (at == std::string::npos) continue;
-    const std::size_t value = at + std::string(key).size();
-    body.erase(value, body.find('"', value) - value);
-  }
-  u64 h = 0xcbf29ce484222325ull;
-  for (const char c : body) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-  }
-  return h;
 }
 
 u64 traced_run_digest(harness::SystemConfig cfg, const char* profile,
