@@ -772,17 +772,17 @@ void Controller::note_palp_stall(u32 bank, Tick now) {
   }
 }
 
-Tick Controller::apply_line_faults(Addr phys,
+Tick Controller::apply_line_faults(LineSlot& slot, Addr phys,
                                    const schemes::ServicePlan& plan) {
   if (fault_ == nullptr) return 0;
   const u32 line_bits =
       store_.units_per_line() * pcm_.geometry.data_unit_bits;
   const fault::LineFaultOutcome out = fault_->plan_line_faults(
-      phys, ++fault_seq_, plan, scheme_, wear_.line(phys).bits_programmed,
+      phys, ++fault_seq_, plan, scheme_, slot.wear.bits_programmed,
       line_bits);
   if (out.attempts > 0) {
     energy_.add_write(out.retry_pulses);
-    wear_.record_retry(phys, out.retry_pulses);
+    slot.record_retry(out.retry_pulses);
     c_fault_retries_.inc(out.attempts);
     if (trace::on<kFaultCat>()) {
       trace::emit_instant(kFaultCat, trace::Op::kFaultRetry, fault_track(cfg_.track_base),
@@ -853,7 +853,7 @@ void Controller::issue_read(MemoryRequest req) {
       sim::Priority::kDeviceComplete);
 }
 
-Tick Controller::charge_write(Addr phys, u32 bank,
+Tick Controller::charge_write(LineSlot& slot, Addr phys, u32 bank,
                               const schemes::ServicePlan& plan, Tick now) {
   c_writes_.inc();
   if (plan.silent) c_silent_.inc();
@@ -871,13 +871,13 @@ Tick Controller::charge_write(Addr phys, u32 bank,
   energy_.add_write(plan.programmed);
   if (plan.background.total() > 0) {
     energy_.add_write(plan.background);
-    wear_.record(phys, plan.background);
+    slot.record(plan.background);
   }
   if (plan.read_before_write) {
     energy_.add_read(store_.units_per_line() * pcm_.geometry.data_unit_bits);
   }
-  wear_.record(phys, plan.programmed);
-  const Tick retry = apply_line_faults(phys, plan);
+  slot.record(plan.programmed);
+  const Tick retry = apply_line_faults(slot, phys, plan);
   a_write_units_.add(plan.write_units);
   if (plan.power_util > 0.0) a_power_util_.add(plan.power_util);
   note_row_activate(bank, phys);
@@ -893,7 +893,7 @@ void Controller::issue_write(MemoryRequest req) {
   Tick service = 0;
   {  // plan scope: trace context and brown-out budget of this write only
     note_stuck_remap(phys);
-    pcm::LineBuf& line = store_.line(phys);
+    LineSlot& slot = store_.slot(phys);
     // The context hands the analysis stage (packer, FSM expansion) an
     // absolute time base + bank track for its own emissions.
     trace::ScopedContext tctx(now, bank_track(cfg_.track_base, bank));
@@ -904,8 +904,8 @@ void Controller::issue_write(MemoryRequest req) {
     // partitions may start drawing while this write is in flight.
     const double bscale =
         begin_plan_scope(now, palp_on_ ? cfg_.palp.write_ways : 1);
-    const schemes::ServicePlan plan = scheme_.plan_write(line, req.data);
-    service = plan.latency + charge_write(phys, bank, plan, now);
+    const schemes::ServicePlan plan = scheme_.plan_write(slot.buf, req.data);
+    service = plan.latency + charge_write(slot, phys, bank, plan, now);
     end_plan_scope(bscale);
   }
   a_write_service_.add(to_ns(service));
@@ -970,6 +970,7 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
 
   // Scratch for the scheme call: batches are bounded by write_batch
   // (small), so these stay in inline storage on the steady-state path.
+  InlineVec<LineSlot*, 16> slots;
   InlineVec<pcm::LineBuf*, 16> lines;
   InlineVec<pcm::LogicalLine, 16> datas;
   InlineVec<Addr, 16> phys;
@@ -977,7 +978,8 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
     const Addr p = physical_of(r.addr);
     TW_ASSERT(eff_bank(p) == bank);
     phys.push_back(p);
-    lines.push_back(&store_.line(p));  // stable: DataStore never moves lines
+    slots.push_back(&store_.slot(p));  // stable: DataStore never moves lines
+    lines.push_back(&slots.back()->buf);
     datas.push_back(r.data);
   }
 
@@ -1011,7 +1013,8 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     note_stuck_remap(phys[i]);
     c_batched_.inc();
-    fault_extra += charge_write(phys[i], bank, batch.per_line[i], now);
+    fault_extra +=
+        charge_write(*slots[i], phys[i], bank, batch.per_line[i], now);
     advance_start_gap(reqs[i].addr);
   }
   end_plan_scope(bscale);
@@ -1087,12 +1090,13 @@ void Controller::apply_gap_move(u64 region, const GapMove& move) {
   const Addr dst = (region * (n + 1) + move.to_physical) * map_.line_bytes();
 
   const pcm::LogicalLine content = store_.read_logical(src);
-  pcm::LineBuf& dst_line = store_.line(dst);
+  LineSlot& dst_slot = store_.slot(dst);
   const double bscale = begin_plan_scope(sim_.now(), 1);
-  const schemes::ServicePlan plan = scheme_.plan_write(dst_line, content);
+  const schemes::ServicePlan plan = scheme_.plan_write(dst_slot.buf, content);
   energy_.add_write(plan.programmed);
-  wear_.record(dst, plan.programmed);
-  const Tick gap_service = plan.latency + apply_line_faults(dst, plan);
+  dst_slot.record(plan.programmed);
+  const Tick gap_service =
+      plan.latency + apply_line_faults(dst_slot, dst, plan);
   end_plan_scope(bscale);
   c_gap_moves_.inc();
 

@@ -51,7 +51,6 @@
 #include "tw/pcm/bank.hpp"
 #include "tw/pcm/energy.hpp"
 #include "tw/pcm/pump.hpp"
-#include "tw/pcm/wear.hpp"
 #include "tw/schemes/write_scheme.hpp"
 #include "tw/sim/simulator.hpp"
 #include "tw/stats/registry.hpp"
@@ -189,7 +188,8 @@ class Controller : public MemoryInterface {
   DataStore& store() { return store_; }
   DataStore& store_for(Addr) override { return store_; }
   const pcm::EnergyModel& energy() const { return energy_; }
-  const pcm::WearTracker& wear() const { return wear_; }
+  /// Per-line wear ledger, kept in the store's line slots.
+  WearView wear() const { return WearView(store_); }
   const AddressMap& address_map() const { return map_; }
   const std::vector<pcm::PcmBank>& banks() const { return banks_; }
   const std::vector<pcm::PcmBank>& subarrays() const { return subarrays_; }
@@ -279,9 +279,9 @@ class Controller : public MemoryInterface {
   /// counters, programmed/background/read-before-write energy, wear,
   /// fault retries, write units, power utilization and the open row.
   /// Call inside the plan scope (retries see its budget). Returns the
-  /// fault retry latency.
-  Tick charge_write(Addr phys, u32 bank, const schemes::ServicePlan& plan,
-                    Tick now);
+  /// fault retry latency. `slot` is the store slot of `phys`.
+  Tick charge_write(LineSlot& slot, Addr phys, u32 bank,
+                    const schemes::ServicePlan& plan, Tick now);
   /// Record a single write entering service for `service` and schedule
   /// its completion.
   void start_write(u32 bank, u32 subarray, MemoryRequest req, Tick service);
@@ -336,8 +336,9 @@ class Controller : public MemoryInterface {
   void end_plan_scope(double factor);
   /// Inject transient pulse failures into one planned line write:
   /// verify-and-retry pricing, retry energy/wear, FailedLine surfacing.
-  /// Returns the extra service latency.
-  Tick apply_line_faults(Addr phys, const schemes::ServicePlan& plan);
+  /// Returns the extra service latency. `slot` is the store slot of `phys`.
+  Tick apply_line_faults(LineSlot& slot, Addr phys,
+                         const schemes::ServicePlan& plan);
 
   sim::Simulator& sim_;
   pcm::PcmConfig pcm_;
@@ -354,7 +355,6 @@ class Controller : public MemoryInterface {
   std::vector<pcm::PcmBank> subarrays_;  ///< array occupancy (reads + writes)
   std::vector<pcm::ChargePump> pumps_;   ///< PALP pump occupancy, per bank
   pcm::EnergyModel energy_;
-  pcm::WearTracker wear_;
 
   // Bank-indexed request queues: pooled nodes on a global age FIFO plus
   // per-subarray (reads) / per-bank (writes) FIFOs, with bitmaps of

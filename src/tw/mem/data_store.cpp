@@ -24,19 +24,39 @@ pcm::LineBuf DataStore::materialize(Addr line_addr) const {
   return buf;
 }
 
-pcm::LineBuf& DataStore::line(Addr line_addr) {
+LineSlot& DataStore::slot(Addr line_addr) {
   const u32 idx = index_.find(line_addr);
-  if (idx != FlatIndexMap::kNoIndex) {
-    return chunks_[idx >> kChunkShift][idx & kChunkMask];
-  }
+  if (idx != FlatIndexMap::kNoIndex) return at(idx);
   if ((arena_size_ >> kChunkShift) == chunks_.size()) {
-    chunks_.push_back(std::make_unique<pcm::LineBuf[]>(kChunkLines));
+    chunks_.push_back(std::make_unique<LineSlot[]>(kChunkLines));
   }
-  const u32 slot = arena_size_++;
-  pcm::LineBuf& buf = chunks_[slot >> kChunkShift][slot & kChunkMask];
-  buf = materialize(line_addr);
-  index_.insert(line_addr, slot);
-  return buf;
+  const u32 idx_new = arena_size_++;
+  LineSlot& s = at(idx_new);
+  s.buf = materialize(line_addr);
+  index_.insert(line_addr, idx_new);
+  return s;
+}
+
+pcm::LineWear DataStore::wear(Addr line_addr) const {
+  const u32 idx = index_.find(line_addr);
+  return idx == FlatIndexMap::kNoIndex ? pcm::LineWear{} : at(idx).wear;
+}
+
+pcm::WearSummary DataStore::wear_summary() const {
+  pcm::WearSummary s;
+  for (u32 i = 0; i < arena_size_; ++i) {
+    const pcm::LineWear& w = at(i).wear;
+    if (w.writes == 0) continue;
+    s.lines_touched += 1;
+    s.total_writes += w.writes;
+    s.total_bits += w.bits_programmed;
+    if (w.bits_programmed > s.max_line_bits) s.max_line_bits = w.bits_programmed;
+  }
+  s.avg_bits_per_write =
+      s.total_writes == 0 ? 0.0
+                          : static_cast<double>(s.total_bits) /
+                                static_cast<double>(s.total_writes);
+  return s;
 }
 
 }  // namespace tw::mem

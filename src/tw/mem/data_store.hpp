@@ -1,28 +1,53 @@
 #pragma once
-// Sparse physical content store for the PCM main memory.
+// Sparse physical line store for the PCM main memory: the one home of
+// per-line state.
 //
-// Holds the *physical* line state (cell words + flip tags) for every line
-// ever touched. Untouched lines are materialized on first access with
-// deterministic pseudo-random content derived from (seed, line address),
-// so simulations are reproducible regardless of access order.
+// Each line ever touched owns one arena slot holding its *physical*
+// content (cell words + flip tags) and its wear ledger (line writes and
+// programmed bits, the endurance input of RunMetrics.bits_per_write and
+// of the fault model's wear knee). Untouched lines are materialized on
+// first access with deterministic pseudo-random content derived from
+// (seed, line address), so simulations are reproducible regardless of
+// access order; reading an untouched line's wear does not materialize it.
 //
 // Storage is a FlatIndexMap (open-addressing, no per-entry allocation)
-// over a chunked arena of LineBufs: references returned by line() stay
-// valid for the store's lifetime — growth adds chunks, it never moves
-// existing lines (unlike unordered_map, this is guaranteed by layout,
-// not by rehash accident).
+// over a chunked arena of slots: references returned by slot()/line()
+// stay valid for the store's lifetime — growth adds chunks, it never
+// moves existing lines (unlike unordered_map, this is guaranteed by
+// layout, not by rehash accident).
 
 #include <memory>
 #include <vector>
 
+#include "tw/common/bits.hpp"
 #include "tw/common/flat_map.hpp"
 #include "tw/common/rng.hpp"
 #include "tw/common/types.hpp"
 #include "tw/pcm/line.hpp"
+#include "tw/pcm/wear.hpp"
 
 namespace tw::mem {
 
-/// Sparse map from line address to physical line state.
+/// One line's state: its physical content and its wear ledger.
+struct LineSlot {
+  pcm::LineBuf buf;
+  pcm::LineWear wear;
+
+  /// Record a line write that programmed the given transitions.
+  void record(const BitTransitions& t) {
+    wear.writes += 1;
+    wear.bits_programmed += t.total();
+  }
+
+  /// Record extra pulses that did not constitute a new line write —
+  /// fault-injection retry re-drives. Wear accrues (the pulses were
+  /// driven) but the service count, and with it bits-per-write, does not.
+  void record_retry(const BitTransitions& t) {
+    wear.bits_programmed += t.total();
+  }
+};
+
+/// Sparse map from line address to line state.
 class DataStore {
  public:
   /// `units_per_line`: data units per cache line; `seed` drives the
@@ -32,9 +57,12 @@ class DataStore {
   DataStore(u32 units_per_line, u64 seed, double ones_bias = 0.5)
       : units_(units_per_line), seed_(seed), ones_bias_(ones_bias) {}
 
+  /// Content and wear of a line (materialized on first touch). The
+  /// reference stays valid for the lifetime of the store.
+  LineSlot& slot(Addr line_addr);
+
   /// Mutable physical state of a line (materialized on first touch).
-  /// The reference stays valid for the lifetime of the store.
-  pcm::LineBuf& line(Addr line_addr);
+  pcm::LineBuf& line(Addr line_addr) { return slot(line_addr).buf; }
 
   /// Read-only logical view of a line (materializes on first touch).
   /// Routed through the installed decoder when the write scheme stores a
@@ -61,6 +89,13 @@ class DataStore {
     return index_.find(line_addr) != FlatIndexMap::kNoIndex;
   }
 
+  /// Wear of one line; zero, and not materialized, if untouched.
+  pcm::LineWear wear(Addr line_addr) const;
+
+  /// Wear over the lines written at least once (a line that was only
+  /// read is materialized but not counted in lines_touched).
+  pcm::WearSummary wear_summary() const;
+
   std::size_t lines_touched() const { return index_.size(); }
   u32 units_per_line() const { return units_; }
 
@@ -69,6 +104,12 @@ class DataStore {
   static constexpr u32 kChunkLines = 1u << kChunkShift;
   static constexpr u32 kChunkMask = kChunkLines - 1;
 
+  LineSlot& at(u32 idx) {
+    return chunks_[idx >> kChunkShift][idx & kChunkMask];
+  }
+  const LineSlot& at(u32 idx) const {
+    return chunks_[idx >> kChunkShift][idx & kChunkMask];
+  }
   pcm::LineBuf materialize(Addr line_addr) const;
 
   u32 units_;
@@ -77,8 +118,19 @@ class DataStore {
   const void* decoder_ctx_ = nullptr;
   Decoder decoder_fn_ = nullptr;
   FlatIndexMap index_;
-  std::vector<std::unique_ptr<pcm::LineBuf[]>> chunks_;
+  std::vector<std::unique_ptr<LineSlot[]>> chunks_;
   u32 arena_size_ = 0;  ///< lines stored across all chunks
+};
+
+/// Read-only view of a store's wear ledger (Controller::wear()).
+class WearView {
+ public:
+  explicit WearView(const DataStore& store) : store_(&store) {}
+  pcm::WearSummary summary() const { return store_->wear_summary(); }
+  pcm::LineWear line(Addr line_addr) const { return store_->wear(line_addr); }
+
+ private:
+  const DataStore* store_;
 };
 
 }  // namespace tw::mem

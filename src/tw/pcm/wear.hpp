@@ -1,11 +1,9 @@
 #pragma once
-// Endurance/wear tracking: per-line bit-program counts. PCM cells endure
+// Endurance/wear accounting: per-line bit-program counts. PCM cells endure
 // ~10^8 programs; schemes that write fewer bits (DCW-family, Tetris) extend
-// lifetime. Tracked sparsely by line address.
+// lifetime. The per-line ledger lives in the line's mem::DataStore slot,
+// next to its content.
 
-#include <unordered_map>
-
-#include "tw/common/bits.hpp"
 #include "tw/common/types.hpp"
 
 namespace tw::pcm {
@@ -50,51 +48,5 @@ inline LifetimeEstimate estimate_lifetime(const WearSummary& wear,
   e.lifetime_years = e.lifetime_seconds / (365.25 * 24 * 3600);
   return e;
 }
-
-/// Sparse wear tracker keyed by line address.
-class WearTracker {
- public:
-  /// Record a line write that programmed the given transitions.
-  void record(Addr line_addr, const BitTransitions& t) {
-    auto& w = wear_[line_addr];
-    w.writes += 1;
-    w.bits_programmed += t.total();
-  }
-
-  /// Record extra pulses that did not constitute a new line write —
-  /// fault-injection retry re-drives. Wear accrues (the pulses were
-  /// driven) but the service count, and with it bits-per-write, does not.
-  void record_retry(Addr line_addr, const BitTransitions& t) {
-    wear_[line_addr].bits_programmed += t.total();
-  }
-
-  /// Wear state of one line (zero-initialized if untouched).
-  LineWear line(Addr line_addr) const {
-    const auto it = wear_.find(line_addr);
-    return it == wear_.end() ? LineWear{} : it->second;
-  }
-
-  WearSummary summary() const {
-    WearSummary s;
-    s.lines_touched = wear_.size();
-    for (const auto& [_, w] : wear_) {
-      s.total_writes += w.writes;
-      s.total_bits += w.bits_programmed;
-      if (w.bits_programmed > s.max_line_bits)
-        s.max_line_bits = w.bits_programmed;
-    }
-    s.avg_bits_per_write =
-        s.total_writes == 0
-            ? 0.0
-            : static_cast<double>(s.total_bits) /
-                  static_cast<double>(s.total_writes);
-    return s;
-  }
-
-  void reset() { wear_.clear(); }
-
- private:
-  std::unordered_map<Addr, LineWear> wear_;
-};
 
 }  // namespace tw::pcm

@@ -1,5 +1,5 @@
-// Unit tests for tw/mem: address map, data store, and the FRFCFS
-// controller (queueing, drain policy, forwarding, coalescing).
+// Unit tests for tw/mem: address map, data store and its wear ledger,
+// and the FRFCFS controller (queueing, drain policy, forwarding, coalescing).
 
 #include <gtest/gtest.h>
 
@@ -91,6 +91,80 @@ TEST(DataStore, LogicalViewHonorsTags) {
   DataStore s(8, 1);
   s.line(0).store_logical(0, 0x77, /*flipped=*/true);
   EXPECT_EQ(s.read_logical(0).word(0), 0x77u);
+}
+
+// ----------------------------------------------------------------- wear --
+// The wear ledger lives in the store's line slots.
+TEST(Wear, TracksPerLine) {
+  DataStore d(8, 1);
+  d.slot(0x1000).record(BitTransitions{5, 3});
+  d.slot(0x1000).record(BitTransitions{2, 0});
+  d.slot(0x2000).record(BitTransitions{1, 1});
+  EXPECT_EQ(d.wear(0x1000).writes, 2u);
+  EXPECT_EQ(d.wear(0x1000).bits_programmed, 10u);
+  EXPECT_EQ(d.wear(0x3000).writes, 0u);
+
+  const pcm::WearSummary s = d.wear_summary();
+  EXPECT_EQ(s.lines_touched, 2u);
+  EXPECT_EQ(s.total_writes, 3u);
+  EXPECT_EQ(s.total_bits, 12u);
+  EXPECT_EQ(s.max_line_bits, 10u);
+  EXPECT_DOUBLE_EQ(s.avg_bits_per_write, 4.0);
+}
+
+TEST(Wear, LifetimeProjection) {
+  DataStore d(8, 1);
+  // Hot line: 100 writes x 50 bits over 1 simulated second.
+  for (int i = 0; i < 100; ++i) d.slot(0x0).record(BitTransitions{30, 20});
+  const pcm::LifetimeEstimate e =
+      pcm::estimate_lifetime(d.wear_summary(), /*sim_seconds=*/1.0,
+                             /*cell_endurance=*/1e8, /*bits_per_line=*/512);
+  // Worst cell: 5000 bits / 512 cells ~ 9.77 pulses/s.
+  EXPECT_NEAR(e.worst_cell_pulses_per_second, 5000.0 / 512.0, 1e-9);
+  EXPECT_NEAR(e.lifetime_seconds, 1e8 / (5000.0 / 512.0), 1.0);
+  EXPECT_NEAR(e.lifetime_years,
+              e.lifetime_seconds / (365.25 * 24 * 3600), 1e-9);
+}
+
+TEST(Wear, LifetimeDegenerateInputs) {
+  DataStore d(8, 1);
+  EXPECT_DOUBLE_EQ(
+      pcm::estimate_lifetime(d.wear_summary(), 1.0).lifetime_seconds, 0.0);
+  d.slot(0).record(BitTransitions{1, 0});
+  EXPECT_DOUBLE_EQ(
+      pcm::estimate_lifetime(d.wear_summary(), 0.0).lifetime_seconds, 0.0);
+}
+
+TEST(Wear, RetryAccruesBitsButNoWrite) {
+  DataStore d(8, 1);
+  LineSlot& s = d.slot(0x40);
+  s.record(BitTransitions{4, 4});
+  s.record_retry(BitTransitions{2, 0});
+  EXPECT_EQ(d.wear(0x40).writes, 1u);
+  EXPECT_EQ(d.wear(0x40).bits_programmed, 10u);
+  EXPECT_DOUBLE_EQ(d.wear_summary().avg_bits_per_write, 10.0);
+}
+
+TEST(Wear, ReadOnlyLineIsNotTouched) {
+  DataStore d(8, 1);
+  (void)d.read_logical(0x40);  // materialized by a read only
+  d.slot(0x80).record(BitTransitions{1, 1});
+  EXPECT_EQ(d.lines_touched(), 2u);
+  const pcm::WearSummary s = d.wear_summary();
+  EXPECT_EQ(s.lines_touched, 1u);
+  EXPECT_EQ(s.total_writes, 1u);
+}
+
+TEST(Wear, ReadingUntouchedWearDoesNotMaterialize) {
+  DataStore d(8, 1);
+  d.slot(0x40).record(BitTransitions{1, 0});
+  const std::size_t before = d.lines_touched();
+  EXPECT_EQ(d.wear(0x1000).writes, 0u);
+  EXPECT_EQ(d.wear(0x1000).bits_programmed, 0u);
+  EXPECT_EQ(WearView(d).line(0x2000).writes, 0u);
+  EXPECT_EQ(d.lines_touched(), before);
+  EXPECT_FALSE(d.touched(0x1000));
+  EXPECT_FALSE(d.touched(0x2000));
 }
 
 // ------------------------------------------------------------ controller --

@@ -1,5 +1,5 @@
 // Unit tests for tw/pcm: parameters, line buffers, array/endurance,
-// energy, wear and bank occupancy.
+// energy and bank occupancy.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "tw/pcm/energy.hpp"
 #include "tw/pcm/line.hpp"
 #include "tw/pcm/params.hpp"
-#include "tw/pcm/wear.hpp"
 
 namespace tw::pcm {
 namespace {
@@ -186,47 +185,6 @@ TEST(Energy, Reset) {
   e.add_write(BitTransitions{1, 1});
   e.reset();
   EXPECT_DOUBLE_EQ(e.total_pj(), 0.0);
-}
-
-// ----------------------------------------------------------------- wear --
-TEST(Wear, TracksPerLine) {
-  WearTracker w;
-  w.record(0x1000, BitTransitions{5, 3});
-  w.record(0x1000, BitTransitions{2, 0});
-  w.record(0x2000, BitTransitions{1, 1});
-  EXPECT_EQ(w.line(0x1000).writes, 2u);
-  EXPECT_EQ(w.line(0x1000).bits_programmed, 10u);
-  EXPECT_EQ(w.line(0x3000).writes, 0u);
-
-  const WearSummary s = w.summary();
-  EXPECT_EQ(s.lines_touched, 2u);
-  EXPECT_EQ(s.total_writes, 3u);
-  EXPECT_EQ(s.total_bits, 12u);
-  EXPECT_EQ(s.max_line_bits, 10u);
-  EXPECT_DOUBLE_EQ(s.avg_bits_per_write, 4.0);
-}
-
-TEST(Wear, LifetimeProjection) {
-  WearTracker w;
-  // Hot line: 100 writes x 50 bits over 1 simulated second.
-  for (int i = 0; i < 100; ++i) w.record(0x0, BitTransitions{30, 20});
-  const LifetimeEstimate e =
-      estimate_lifetime(w.summary(), /*sim_seconds=*/1.0,
-                        /*cell_endurance=*/1e8, /*bits_per_line=*/512);
-  // Worst cell: 5000 bits / 512 cells ~ 9.77 pulses/s.
-  EXPECT_NEAR(e.worst_cell_pulses_per_second, 5000.0 / 512.0, 1e-9);
-  EXPECT_NEAR(e.lifetime_seconds, 1e8 / (5000.0 / 512.0), 1.0);
-  EXPECT_NEAR(e.lifetime_years,
-              e.lifetime_seconds / (365.25 * 24 * 3600), 1e-9);
-}
-
-TEST(Wear, LifetimeDegenerateInputs) {
-  WearTracker w;
-  EXPECT_DOUBLE_EQ(estimate_lifetime(w.summary(), 1.0).lifetime_seconds,
-                   0.0);
-  w.record(0, BitTransitions{1, 0});
-  EXPECT_DOUBLE_EQ(estimate_lifetime(w.summary(), 0.0).lifetime_seconds,
-                   0.0);
 }
 
 // ----------------------------------------------------------------- bank --

@@ -27,7 +27,6 @@
 #include "tw/mem/start_gap.hpp"
 #include "tw/pcm/bank.hpp"
 #include "tw/pcm/energy.hpp"
-#include "tw/pcm/wear.hpp"
 #include "tw/schemes/write_scheme.hpp"
 #include "tw/sim/simulator.hpp"
 #include "tw/stats/registry.hpp"
@@ -158,7 +157,7 @@ class ReferenceController {
 
   DataStore& store() { return store_; }
   const pcm::EnergyModel& energy() const { return energy_; }
-  const pcm::WearTracker& wear() const { return wear_; }
+  WearView wear() const { return WearView(store_); }
   u64 gap_moves() const { return c_gap_moves_.value(); }
 
  private:
@@ -327,8 +326,8 @@ class ReferenceController {
 
     Tick service = service_override;
     if (service == 0) {
-      pcm::LineBuf& line = store_.line(phys);
-      const schemes::ServicePlan plan = scheme_.plan_write(line, req.data);
+      LineSlot& slot = store_.slot(phys);
+      const schemes::ServicePlan plan = scheme_.plan_write(slot.buf, req.data);
       service = plan.latency;
 
       c_writes_.inc();
@@ -337,13 +336,13 @@ class ReferenceController {
       energy_.add_write(plan.programmed);
       if (plan.background.total() > 0) {
         energy_.add_write(plan.background);
-        wear_.record(phys, plan.background);
+        slot.record(plan.background);
       }
       if (plan.read_before_write) {
         energy_.add_read(store_.units_per_line() *
                          pcm_.geometry.data_unit_bits);
       }
-      wear_.record(phys, plan.programmed);
+      slot.record(plan.programmed);
       a_write_units_.add(plan.write_units);
       a_write_service_.add(to_ns(plan.latency));
     }
@@ -413,13 +412,13 @@ class ReferenceController {
       energy_.add_write(plan.programmed);
       if (plan.background.total() > 0) {
         energy_.add_write(plan.background);
-        wear_.record(phys[i], plan.background);
+        store_.slot(phys[i]).record(plan.background);
       }
       if (plan.read_before_write) {
         energy_.add_read(store_.units_per_line() *
                          pcm_.geometry.data_unit_bits);
       }
-      wear_.record(phys[i], plan.programmed);
+      store_.slot(phys[i]).record(plan.programmed);
       a_write_units_.add(plan.write_units);
       a_write_service_.add(to_ns(batch.latency));
 
@@ -469,10 +468,10 @@ class ReferenceController {
         (region * (n + 1) + move.to_physical) * map_.line_bytes();
 
     const pcm::LogicalLine content = store_.read_logical(src);
-    pcm::LineBuf& dst_line = store_.line(dst);
-    const schemes::ServicePlan plan = scheme_.plan_write(dst_line, content);
+    LineSlot& dst_slot = store_.slot(dst);
+    const schemes::ServicePlan plan = scheme_.plan_write(dst_slot.buf, content);
     energy_.add_write(plan.programmed);
-    wear_.record(dst, plan.programmed);
+    dst_slot.record(plan.programmed);
     c_gap_moves_.inc();
 
     const u32 bank = map_.flat_bank(dst);
@@ -576,7 +575,6 @@ class ReferenceController {
   std::vector<pcm::PcmBank> banks_;
   std::vector<pcm::PcmBank> subarrays_;
   pcm::EnergyModel energy_;
-  pcm::WearTracker wear_;
 
   std::deque<MemoryRequest> read_q_;
   std::deque<MemoryRequest> write_q_;
