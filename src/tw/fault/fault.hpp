@@ -12,8 +12,8 @@
 //    with probability set_fail_prob / reset_fail_prob (the SET and RESET
 //    pulses stress cells differently); failed bits are re-driven with
 //    exponentially widened pulses up to max_retries attempts;
-//  * endurance wear-out — once a line's per-cell program count (from the
-//    existing pcm::WearTracker ledger) passes wear_knee, its failure
+//  * endurance wear-out — once a line's per-cell program count (from its
+//    wear ledger in the mem::DataStore slot) passes wear_knee, its failure
 //    probability escalates linearly with accumulated wear;
 //  * stuck banks — a whole bank (all its subarrays) hard-fails at power
 //    on; the controller degrades gracefully by remapping its traffic onto
@@ -59,8 +59,9 @@ struct FaultConfig {
   double retry_fail_damping = 0.5;
 
   /// Per-cell program count at which endurance failures begin (0 = off).
-  /// The model reads the line-granular pcm::WearTracker ledger and uses
-  /// bits_programmed / line_bits as the per-cell estimate.
+  /// The model reads the line-granular wear ledger (the line's
+  /// mem::DataStore slot) and uses bits_programmed / line_bits as the
+  /// per-cell estimate.
   u64 wear_knee = 0;
   /// Failure-probability floor for cells past the knee (escalates
   /// linearly with wear beyond it).

@@ -87,7 +87,7 @@ LineFaultOutcome FaultModel::plan_line_faults(
   LineFaultOutcome out;
   if (plan.programmed.total() == 0) return out;
   TW_EXPECTS(line_bits > 0);
-  // Per-cell wear estimate for this line: the WearTracker ledger is
+  // Per-cell wear estimate for this line: the wear ledger is
   // line-granular, so spread bits_programmed evenly over the line's cells.
   const u64 cell_wear = line_wear_bits / line_bits;
 

@@ -52,7 +52,7 @@ class FaultModel final : public pcm::CellFaultHook {
 
   /// Decide the transient-failure fate of one planned line write.
   /// `service_seq` is the controller's monotone per-service counter,
-  /// `line_wear_bits` the line's pcm::WearTracker bits_programmed ledger,
+  /// `line_wear_bits` the bits_programmed of the line's wear ledger,
   /// `line_bits` the number of data cells per line (wear normalization).
   /// `scheme.plan_retry(...)` prices each retry attempt.
   LineFaultOutcome plan_line_faults(Addr line, u64 service_seq,

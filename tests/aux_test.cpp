@@ -1,5 +1,5 @@
-// Tests for the auxiliary substrate: repeated-seed statistics, the SVG
-// chart emitter, and the MLC cell model.
+// Tests for the auxiliary substrate: the SVG chart emitter and the MLC
+// cell model.
 
 #include <gtest/gtest.h>
 
@@ -7,45 +7,10 @@
 
 #include "tw/common/svg.hpp"
 #include "tw/core/factory.hpp"
-#include "tw/harness/repeated.hpp"
 #include "tw/pcm/mlc.hpp"
-#include "tw/workload/profiles.hpp"
 
 namespace tw {
 namespace {
-
-// -------------------------------------------------------------- repeated --
-TEST(Repeated, SummariesAreConsistent) {
-  harness::SystemConfig cfg;
-  cfg.instructions_per_core = 8'000;
-  const auto& p = workload::profile_by_name("canneal");
-  const harness::RepeatedMetrics r = harness::run_repeated(
-      cfg, p, schemes::SchemeKind::kTetris, 4);
-  ASSERT_EQ(r.runs.size(), 4u);
-  EXPECT_TRUE(r.all_completed());
-  EXPECT_GE(r.read_latency_ns.max, r.read_latency_ns.mean);
-  EXPECT_LE(r.read_latency_ns.min, r.read_latency_ns.mean);
-  EXPECT_GE(r.read_latency_ns.stddev, 0.0);
-  EXPECT_GE(r.ipc.ci95, 0.0);
-  // Seeds genuinely differ.
-  EXPECT_NE(r.runs[0].runtime_ns, r.runs[1].runtime_ns);
-}
-
-TEST(Repeated, MatchesSingleRunsPerSeed) {
-  harness::SystemConfig cfg;
-  cfg.instructions_per_core = 6'000;
-  cfg.seed = 100;
-  const auto& p = workload::profile_by_name("dedup");
-  const harness::RepeatedMetrics r =
-      harness::run_repeated(cfg, p, schemes::SchemeKind::kDcw, 3);
-  for (u32 i = 0; i < 3; ++i) {
-    harness::SystemConfig single = cfg;
-    single.seed = 100 + i;
-    const harness::RunMetrics m =
-        harness::run_system(single, p, schemes::SchemeKind::kDcw);
-    EXPECT_DOUBLE_EQ(r.runs[i].ipc, m.ipc);
-  }
-}
 
 // ------------------------------------------------------------------- svg --
 TEST(Svg, RendersWellFormedChart) {
