@@ -106,11 +106,27 @@ int main(int argc, char** argv) {
   const u64 instr = sys.instructions_per_core;
   const u32 cores = sys.cores;
   const u64 seed = sys.seed;
-  const auto& profile = workload::profile_by_name(workload_name);
+  const workload::WorkloadProfile* found = workload::find_profile(workload_name);
+  if (found == nullptr) {
+    std::cerr << "unknown workload '" << workload_name << "'; valid:";
+    for (const auto& p : workload::parsec_profiles()) std::cerr << ' ' << p.name;
+    std::cerr << "\n";
+    return 2;
+  }
+  const workload::WorkloadProfile& profile = *found;
+  const auto kind = core::scheme_kind_from_name(scheme_name);
+  if (!kind) {
+    std::cerr << "unknown scheme '" << scheme_name << "'; valid:";
+    for (const auto k : core::all_scheme_kinds()) {
+      std::cerr << ' ' << schemes::scheme_name(k);
+    }
+    std::cerr << "\n";
+    return 2;
+  }
 
   sim::Simulator sim;
   stats::Registry reg;
-  const auto scheme = core::make_scheme(scheme_name, pcfg, sys.tetris);
+  const auto scheme = core::make_scheme(*kind, pcfg, sys.tetris);
   mem::Controller ctl(sim, pcfg, sys.controller, *scheme, reg, seed,
                       profile.initial_ones_fraction);
 

@@ -63,7 +63,14 @@ int main(int argc, char** argv) {
     if (starts_with(arg, "--param=")) param = arg.substr(8);
     if (starts_with(arg, "--workload=")) workload_name = arg.substr(11);
   }
-  const auto& profile = workload::profile_by_name(workload_name);
+  const workload::WorkloadProfile* found = workload::find_profile(workload_name);
+  if (found == nullptr) {
+    std::cerr << "unknown workload '" << workload_name << "'; valid:";
+    for (const auto& p : workload::parsec_profiles()) std::cerr << ' ' << p.name;
+    std::cerr << "\n";
+    return 2;
+  }
+  const workload::WorkloadProfile& profile = *found;
 
   std::vector<SweepPoint> points;
   if (param == "budget") {

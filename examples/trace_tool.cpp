@@ -26,14 +26,20 @@ int cmd_gen(int argc, char** argv) {
                  "<out.trace> [cores] [seed]\n";
     return 2;
   }
-  const auto& profile = workload::profile_by_name(argv[2]);
+  const workload::WorkloadProfile* profile = workload::find_profile(argv[2]);
+  if (profile == nullptr) {
+    std::cerr << "unknown workload '" << argv[2] << "'; valid:";
+    for (const auto& p : workload::parsec_profiles()) std::cerr << ' ' << p.name;
+    std::cerr << "\n";
+    return 2;
+  }
   const u64 ops = std::strtoull(argv[3], nullptr, 10);
   const std::string path = argv[4];
   const u32 cores =
       argc > 5 ? static_cast<u32>(std::strtoul(argv[5], nullptr, 10)) : 4;
   const u64 seed = argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 42;
 
-  workload::TraceGenerator gen(profile, pcm::GeometryParams{}, cores, seed);
+  workload::TraceGenerator gen(*profile, pcm::GeometryParams{}, cores, seed);
   const auto records = workload::capture(gen, cores, ops);
   workload::save_trace(path, records, cores);
   std::cout << "wrote " << records.size() << " records (" << cores

@@ -45,15 +45,19 @@ std::unique_ptr<WriteScheme> make_scheme(SchemeKind kind,
   TW_FAIL("unknown scheme kind");
 }
 
+std::optional<SchemeKind> scheme_kind_from_name(std::string_view name) {
+  for (const SchemeKind kind : all_scheme_kinds()) {
+    if (schemes::scheme_name(kind) == name) return kind;
+  }
+  return std::nullopt;
+}
+
 std::unique_ptr<WriteScheme> make_scheme(std::string_view name,
                                          const pcm::PcmConfig& cfg,
                                          const TetrisOptions& tetris_opts) {
-  for (const SchemeKind kind : all_scheme_kinds()) {
-    if (schemes::scheme_name(kind) == name) {
-      return make_scheme(kind, cfg, tetris_opts);
-    }
-  }
-  TW_FAIL(("unknown scheme name: " + std::string(name)).c_str());
+  const std::optional<SchemeKind> kind = scheme_kind_from_name(name);
+  if (!kind) TW_FAIL(("unknown scheme name: " + std::string(name)).c_str());
+  return make_scheme(*kind, cfg, tetris_opts);
 }
 
 std::vector<SchemeKind> all_scheme_kinds() {

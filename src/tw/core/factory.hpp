@@ -3,6 +3,7 @@
 // tw::schemes (baselines) and the Tetris implementation.
 
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -16,6 +17,10 @@ namespace tw::core {
 std::unique_ptr<schemes::WriteScheme> make_scheme(
     schemes::SchemeKind kind, const pcm::PcmConfig& cfg,
     const TetrisOptions& tetris_opts = {});
+
+/// The kind whose canonical short name (schemes::scheme_name) is `name`;
+/// nullopt if there is none.
+std::optional<schemes::SchemeKind> scheme_kind_from_name(std::string_view name);
 
 /// Instantiate a scheme by its canonical short name ("conventional",
 /// "dcw", "fnw", "2stage", "3stage", "tetris", "fnw-actual",

@@ -72,11 +72,19 @@ const std::vector<WorkloadProfile>& parsec_profiles() {
   return kProfiles;
 }
 
-const WorkloadProfile& profile_by_name(std::string_view name) {
+const WorkloadProfile* find_profile(std::string_view name) {
   for (const auto& p : parsec_profiles()) {
-    if (p.name == name) return p;
+    if (p.name == name) return &p;
   }
-  TW_FAIL(("unknown workload: " + std::string(name)).c_str());
+  return nullptr;
+}
+
+const WorkloadProfile& profile_by_name(std::string_view name) {
+  const WorkloadProfile* p = find_profile(name);
+  if (p == nullptr) {
+    TW_FAIL(("unknown workload: " + std::string(name)).c_str());
+  }
+  return *p;
 }
 
 const char* content_class_name(ContentClass c) {

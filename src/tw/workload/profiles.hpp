@@ -89,6 +89,9 @@ struct WorkloadProfile {
 /// The eight PARSEC 2.0 workloads of Table III, in the paper's order.
 const std::vector<WorkloadProfile>& parsec_profiles();
 
+/// Look up a profile by name; nullptr if unknown.
+const WorkloadProfile* find_profile(std::string_view name);
+
 /// Look up a profile by name; throws ContractViolation if unknown.
 const WorkloadProfile& profile_by_name(std::string_view name);
 

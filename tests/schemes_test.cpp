@@ -316,6 +316,13 @@ TEST(Factory, UnknownNameThrows) {
   EXPECT_THROW(core::make_scheme("warp-drive", cfg()), ContractViolation);
 }
 
+TEST(Factory, KindFromNameDoesNotThrow) {
+  for (const auto kind : core::all_scheme_kinds()) {
+    EXPECT_EQ(core::scheme_kind_from_name(schemes::scheme_name(kind)), kind);
+  }
+  EXPECT_FALSE(core::scheme_kind_from_name("warp-drive").has_value());
+}
+
 TEST(Factory, ReadLatencyUniformAcrossSchemes) {
   // The paper: no scheme touches the read datapath.
   for (const auto kind : core::all_scheme_kinds()) {

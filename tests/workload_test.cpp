@@ -64,6 +64,11 @@ TEST(Profiles, UnknownNameThrows) {
   EXPECT_THROW(profile_by_name("doom"), ContractViolation);
 }
 
+TEST(Profiles, FindDoesNotThrow) {
+  EXPECT_EQ(find_profile("doom"), nullptr);
+  for (const auto& p : parsec_profiles()) EXPECT_EQ(find_profile(p.name), &p);
+}
+
 TEST(Profiles, SharedFractionMonotone) {
   EXPECT_LT(shared_fraction(Level::kLow), shared_fraction(Level::kMedium));
   EXPECT_LT(shared_fraction(Level::kMedium),
