@@ -1,30 +1,27 @@
 // micro_packer: packing-hot-path throughput baseline + differential.
 //
-// Measures the Tetris analysis pipeline the SIMD layer accelerates —
-// read-stage SET/RESET counting (Alg. 1) feeding the first-fit-decreasing
-// packer (Alg. 2) — against the frozen pre-SIMD implementation kept in
-// tests/reference_packer.hpp (the committed baseline, same role the
-// frozen scheduler oracle plays for micro_mem --reference). Three rows:
+// Measures the Tetris analysis pipeline — read-stage SET/RESET counting
+// (Alg. 1) feeding the first-fit-decreasing packer (Alg. 2) — against the
+// frozen implementation kept in tests/reference_packer.hpp (the committed
+// baseline, same role the frozen scheduler oracle plays for micro_mem
+// --reference). Two rows:
 //
 //   reference  frozen seed path (plan_unit loop + AoS insertion sort +
 //              checked linear scans); its throughput is the baseline the
 //              ">= 2x packing path" target is measured against
-//   scalar     shipped SoA pipeline, TW_SIMD=scalar (the fallback; gated
-//              to stay >= 0.95x of the reference)
-//   avx2       shipped pipeline at the best supported ISA level
+//   shipped    the SoA plan_line + pack pipeline the schemes run
 //
 // and three workloads: single lines at the default 8-unit geometry
-// (glue-bound; SIMD is expected to roughly tie), single lines at the
-// 32-unit / 256 B geometry (count+scan bound; the >= 2x target), and the
-// multi-line BatchPacker joint schedule (K=8) that only the shipped path
-// provides — its reference comparator is the frozen per-line serial pack
-// of the same lines, which is exactly what the pre-batching controller
-// issued. Every row checksums its full schedule stream; any divergence
-// between the reference and either shipped ISA level fails the run (an
-// always-on three-way differential). --json writes the BENCH_packer.json
-// baseline gated by cmake/check_bench.py (events_per_sec = 32-unit
-// single-line count+pack/s at the best level; sim_writes_per_sec = batch
-// lines/s).
+// (glue-bound), single lines at the 32-unit / 256 B geometry (count+scan
+// bound; the >= 2x target), and the multi-line BatchPacker joint schedule
+// (K=8) that only the shipped path provides — its reference comparator is
+// the frozen per-line serial pack of the same lines, which is exactly
+// what the pre-batching controller issued. Both rows checksum their full
+// single-line schedule streams; any divergence between the reference and
+// the shipped path fails the run (an always-on differential). --json writes the
+// BENCH_packer.json baseline gated by cmake/check_bench.py
+// (events_per_sec = 32-unit single-line count+pack/s; sim_writes_per_sec
+// = batch lines/s).
 
 #include <cstdint>
 #include <iostream>
@@ -34,7 +31,6 @@
 #include "bench_util.hpp"
 #include "reference_packer.hpp"
 #include "tw/common/rng.hpp"
-#include "tw/common/simd.hpp"
 #include "tw/core/batch_packer.hpp"
 #include "tw/core/packer.hpp"
 #include "tw/core/read_stage.hpp"
@@ -103,8 +99,7 @@ struct PathResult {
 /// Single-line packing path: read stage + pack per line, `reps` timed
 /// sweeps plus one untimed sweep that checksums every schedule (so the
 /// differential covers the full workload without diluting the measured
-/// path with hashing). `reference` selects the frozen pre-SIMD
-/// implementation.
+/// path with hashing). `reference` selects the frozen implementation.
 PathResult run_single(const LinePairs& w, const core::PackerConfig& pcfg,
                       u32 bits, u32 reps, bool reference) {
   PathResult res;
@@ -173,17 +168,6 @@ PathResult run_batch(const LinePairs& w, const pcm::PcmConfig& cfg,
   res.ops_per_sec =
       static_cast<double>(batches) * k / (secs > 0 ? secs : 1e-9);
   if (sink == 0) std::cerr << "(empty batch schedules)\n";
-  for (std::size_t i = 0; i + k <= w.lines.size(); i += k) {
-    pcm::LineBuf copies[16];
-    pcm::LineBuf* ptrs[16];
-    for (u32 j = 0; j < k; ++j) {
-      copies[j] = w.lines[i + j];
-      ptrs[j] = &copies[j];
-    }
-    const core::BatchPackOutcome out =
-        bp.pack_lines({ptrs, k}, {w.datas.data() + i, k}, pcfg);
-    res.checksum = res.checksum * 1099511628211ull ^ fingerprint(out.pack);
-  }
   return res;
 }
 
@@ -227,86 +211,49 @@ int main(int argc, char** argv) {
             << "============================================================"
                "\n";
 
-  const simd::Level restore = simd::active_level();
-  struct Row {
-    const char* name;
-    bool reference;
-    simd::Level level;
-    PathResult single;
-    PathResult wide;
-    PathResult batch;
-  };
-  std::vector<Row> rows;
-  rows.push_back({"reference", true, simd::Level::kScalar, {}, {}, {}});
-  rows.push_back({"scalar", false, simd::Level::kScalar, {}, {}, {}});
-  if (simd::avx2_supported()) {
-    rows.push_back({"avx2", false, simd::Level::kAvx2, {}, {}, {}});
-  }
-
-  for (auto& row : rows) {
-    simd::set_level(row.level);
-    row.single = run_single(w, pcfg, bits, reps, row.reference);
-    row.wide = run_single(w_wide, pcfg_wide, bits, reps, row.reference);
-    if (!row.reference) {
-      row.batch = run_batch(w, cfg, pcfg, batch_k, reps);
-    }
-  }
-  simd::set_level(restore);
+  const PathResult ref_single = run_single(w, pcfg, bits, reps, true);
+  const PathResult ref_wide = run_single(w_wide, pcfg_wide, bits, reps, true);
+  const PathResult single = run_single(w, pcfg, bits, reps, false);
+  const PathResult wide = run_single(w_wide, pcfg_wide, bits, reps, false);
+  const PathResult batch = run_batch(w, cfg, pcfg, batch_k, reps);
 
   AsciiTable t;
   t.set_header({"path", "8u packs/s", "32u packs/s", "batch(K=8) lines/s",
                 "checksum(8u^32u)"});
-  for (const auto& row : rows) {
-    t.add_row({row.name, fixed(row.single.ops_per_sec, 0),
-               fixed(row.wide.ops_per_sec, 0),
-               row.reference ? std::string("per-line (=8u)")
-                             : fixed(row.batch.ops_per_sec, 0),
-               hex16(row.single.checksum ^ row.wide.checksum)});
-  }
+  t.add_row({"reference", fixed(ref_single.ops_per_sec, 0),
+             fixed(ref_wide.ops_per_sec, 0), "per-line (=8u)",
+             hex16(ref_single.checksum ^ ref_wide.checksum)});
+  t.add_row({"shipped", fixed(single.ops_per_sec, 0),
+             fixed(wide.ops_per_sec, 0), fixed(batch.ops_per_sec, 0),
+             hex16(single.checksum ^ wide.checksum)});
   t.print(std::cout);
 
-  // Always-on three-way differential: the frozen reference and both
-  // shipped ISA levels must produce bit-identical schedules everywhere.
-  const Row& ref = rows.front();
-  bool identical = true;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    identical = identical && rows[i].single.checksum == ref.single.checksum &&
-                rows[i].wide.checksum == ref.wide.checksum &&
-                rows[i].batch.checksum == rows[1].batch.checksum;
-  }
-  if (!identical) {
-    std::cerr << "FAIL: packing paths diverged (reference vs shipped "
-                 "scalar/avx2)\n";
+  // Always-on differential: the frozen reference and the shipped path
+  // must produce bit-identical schedules everywhere.
+  if (single.checksum != ref_single.checksum ||
+      wide.checksum != ref_wide.checksum) {
+    std::cerr << "FAIL: packing paths diverged (reference vs shipped)\n";
     return 1;
   }
 
-  const Row& best = rows.back();
-  const double speed_8u = best.single.ops_per_sec / ref.single.ops_per_sec;
-  const double speed_32u = best.wide.ops_per_sec / ref.wide.ops_per_sec;
-  const double scalar_8u =
-      rows[1].single.ops_per_sec / ref.single.ops_per_sec;
-  const double scalar_32u = rows[1].wide.ops_per_sec / ref.wide.ops_per_sec;
-  const double batch_vs_ref =
-      best.batch.ops_per_sec / ref.single.ops_per_sec;
+  const double speed_8u = single.ops_per_sec / ref_single.ops_per_sec;
+  const double speed_32u = wide.ops_per_sec / ref_wide.ops_per_sec;
+  const double batch_vs_ref = batch.ops_per_sec / ref_single.ops_per_sec;
   std::cout << "\nspeedup vs frozen reference: 8u " << fixed(speed_8u, 2)
             << "x, 32u " << fixed(speed_32u, 2) << "x (target >= 2x), batch "
             << fixed(batch_vs_ref, 2)
-            << "x lines/s; scalar fallback 8u " << fixed(scalar_8u, 2)
-            << "x, 32u " << fixed(scalar_32u, 2)
-            << "x (floor 0.95x); bit-identical schedules\n";
+            << "x lines/s; bit-identical schedules\n";
 
   if (!o.json_path.empty()) {
     bench::BenchBaseline b;
     b.bench = "micro_packer";
-    b.config = std::string("count+pack vs frozen reference, level=") +
-               simd::level_name(restore) + ", speedup_32u=" +
+    b.config = "count+pack vs frozen reference, speedup_32u=" +
                std::string(fixed(speed_32u, 2)) + "x, speedup_8u=" +
-               std::string(fixed(speed_8u, 2)) + "x, scalar_32u=" +
-               std::string(fixed(scalar_32u, 2)) + "x, batch K=" +
+               std::string(fixed(speed_8u, 2)) + "x, batch K=" +
                std::to_string(batch_k);
     b.wall_ms = 0.0;  // per-path timing is in the columns above
-    b.events_per_sec = best.wide.ops_per_sec;
-    b.sim_writes_per_sec = best.batch.ops_per_sec;
+    b.events_per_sec = wide.ops_per_sec;
+    b.sim_writes_per_sec = batch.ops_per_sec;
     bench::write_bench_json(o.json_path, b);
   }
   return 0;

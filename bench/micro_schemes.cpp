@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "tw/common/rng.hpp"
-#include "tw/common/simd.hpp"
 #include "tw/core/factory.hpp"
 
 namespace {
@@ -69,30 +68,6 @@ void BM_TetrisSelfCheck(benchmark::State& s) {
   }
 }
 
-/// plan_write at a pinned kernel ISA level (scalar vs avx2 A/B).
-void run_tetris_at_level(benchmark::State& state, simd::Level level) {
-  const simd::Level restore = simd::active_level();
-  simd::set_level(level);
-  Fixture f(42);
-  const auto scheme = core::make_scheme(schemes::SchemeKind::kTetris, f.cfg);
-  for (auto _ : state) {
-    pcm::LineBuf work = f.line;
-    benchmark::DoNotOptimize(scheme->plan_write(work, f.next));
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
-  simd::set_level(restore);
-}
-void BM_TetrisScalar(benchmark::State& s) {
-  run_tetris_at_level(s, simd::Level::kScalar);
-}
-void BM_TetrisAvx2(benchmark::State& s) {
-  if (!simd::avx2_supported()) {
-    s.SkipWithError("avx2 unsupported");
-    return;
-  }
-  run_tetris_at_level(s, simd::Level::kAvx2);
-}
-
 /// Multi-line joint packing: plan_write_batch over K same-bank lines.
 void BM_TetrisBatch(benchmark::State& state) {
   const u32 k = static_cast<u32>(state.range(0));
@@ -122,8 +97,6 @@ BENCHMARK(BM_TwoStage);
 BENCHMARK(BM_ThreeStage);
 BENCHMARK(BM_Tetris);
 BENCHMARK(BM_TetrisSelfCheck);
-BENCHMARK(BM_TetrisScalar);
-BENCHMARK(BM_TetrisAvx2);
 BENCHMARK(BM_TetrisBatch)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace

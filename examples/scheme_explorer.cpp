@@ -24,6 +24,10 @@ using namespace tw;
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: scheme_explorer [--param=budget|k|l|line|density] "
+    "[--workload=NAME]\n";
+
 struct SweepPoint {
   std::string label;
   pcm::PcmConfig cfg;
@@ -60,8 +64,17 @@ int main(int argc, char** argv) {
   std::string workload_name = "ferret";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (starts_with(arg, "--param=")) param = arg.substr(8);
-    if (starts_with(arg, "--workload=")) workload_name = arg.substr(11);
+    if (starts_with(arg, "--param=")) {
+      param = arg.substr(8);
+    } else if (starts_with(arg, "--workload=")) {
+      workload_name = arg.substr(11);
+    } else if (arg == "--help" || arg == "-h") {
+      std::cout << kUsage;
+      return 0;
+    } else {
+      std::cerr << "unknown flag '" << arg << "'\n" << kUsage;
+      return 2;
+    }
   }
   const workload::WorkloadProfile* found = workload::find_profile(workload_name);
   if (found == nullptr) {

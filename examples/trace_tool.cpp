@@ -7,9 +7,11 @@
 // A trace file holds a generator's request stream for offline inspection,
 // e.g. to diff request streams across configuration changes.
 
+#include <charconv>
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "tw/common/strings.hpp"
 #include "tw/common/table.hpp"
@@ -20,10 +22,21 @@ using namespace tw;
 
 namespace {
 
+constexpr const char* kGenUsage =
+    "usage: trace_tool gen <workload> <ops_per_core> <out.trace> [cores] "
+    "[seed]\n";
+
+/// Parse a whole decimal argument into `out`; false on an empty string,
+/// trailing junk, a sign or overflow.
+template <class T>
+bool parse_count(std::string_view s, T& out) {
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  return ec == std::errc{} && end == s.data() + s.size();
+}
+
 int cmd_gen(int argc, char** argv) {
   if (argc < 5) {
-    std::cerr << "usage: trace_tool gen <workload> <ops_per_core> "
-                 "<out.trace> [cores] [seed]\n";
+    std::cerr << kGenUsage;
     return 2;
   }
   const workload::WorkloadProfile* profile = workload::find_profile(argv[2]);
@@ -33,11 +46,17 @@ int cmd_gen(int argc, char** argv) {
     std::cerr << "\n";
     return 2;
   }
-  const u64 ops = std::strtoull(argv[3], nullptr, 10);
+  u64 ops = 0;
+  u32 cores = 4;
+  u64 seed = 42;
+  if (!parse_count(argv[3], ops) || ops == 0 ||
+      (argc > 5 && (!parse_count(argv[5], cores) || cores == 0)) ||
+      (argc > 6 && !parse_count(argv[6], seed))) {
+    std::cerr << "ops_per_core and cores must be integers >= 1, seed >= 0\n"
+              << kGenUsage;
+    return 2;
+  }
   const std::string path = argv[4];
-  const u32 cores =
-      argc > 5 ? static_cast<u32>(std::strtoul(argv[5], nullptr, 10)) : 4;
-  const u64 seed = argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 42;
 
   workload::TraceGenerator gen(*profile, pcm::GeometryParams{}, cores, seed);
   const auto records = workload::capture(gen, cores, ops);

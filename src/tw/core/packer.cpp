@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "tw/common/assert.hpp"
-#include "tw/common/simd.hpp"
 #include "tw/trace/emit.hpp"
 
 namespace tw::core {
@@ -15,7 +14,7 @@ namespace {
 
 /// Items of one packing phase in structure-of-arrays layout: `current[i]`
 /// is the demand of data unit `unit[i]`. Keeping the demands contiguous
-/// lets the SIMD first-fit kernel scan them without gather steps, and the
+/// lets the first-fit scan read them without gather steps, and the
 /// multi-line batch path (hundreds of units) spills both arrays to one
 /// heap block each instead of an array of structs.
 struct ItemsSoA {
@@ -109,26 +108,20 @@ ItemsSoA sorted_items(std::span<const UnitCounts> counts, bool write1_phase,
 }
 
 /// First-fit over `power[0, n)` skipping the forbidden window
-/// `[forbid_lo, forbid_hi)`, charging `fit_checks` exactly like the
-/// original scalar scan did: every index up to and including the chosen
-/// slot counts (forbidden ones too), a miss charges all n. Computing the
-/// charge arithmetically from the found index keeps the statistic
-/// bit-identical across scalar and AVX2 kernels.
+/// `[forbid_lo, forbid_hi)`: lowest slot that still fits, or n. Every
+/// index visited, forbidden ones included, charges one fit check, so a
+/// miss charges n.
 u32 first_fit_target(const u32* power, u32 n, u32 limit, u32 forbid_lo,
-                     u32 forbid_hi, u64& fit_checks, simd::Level lv) {
-  u32 target = simd::first_fit(power, forbid_lo < n ? forbid_lo : n, limit,
-                               lv);
-  if (target >= forbid_lo && forbid_hi < n) {
-    target = forbid_hi + simd::first_fit(power + forbid_hi, n - forbid_hi,
-                                         limit, lv);
-  } else if (target >= forbid_lo) {
-    target = n;
+                     u32 forbid_hi, u64& fit_checks) {
+  for (u32 s = 0; s < n; ++s) {
+    ++fit_checks;
+    if (s >= forbid_lo && s < forbid_hi) continue;
+    if (power[s] <= limit) return s;
   }
-  fit_checks += target < n ? target + 1 : n;
-  return target;
+  return n;
 }
 
-/// Best-fit over the same domain (ablation path, scalar by design):
+/// Best-fit over the same domain (ablation path):
 /// highest-occupancy slot that still fits, first index among ties.
 u32 best_fit_target(const u32* power, u32 n, u32 limit, u32 forbid_lo,
                     u32 forbid_hi, u64& fit_checks) {
@@ -161,7 +154,6 @@ PackResult pack(std::span<const UnitCounts> counts, const PackerConfig& cfg) {
   span_of_unit.resize(counts.size(), UnitSpan{});
   UnitSpan* span = span_of_unit.data();
 
-  const simd::Level lv = simd::active_level();
   const bool best_fit = cfg.order == PackOrder::kBestFitDecreasing;
   const ItemsSoA items1 = sorted_items(counts, /*write1_phase=*/true, cfg);
   const u32* it1_unit = items1.unit.data();
@@ -188,7 +180,7 @@ PackResult pack(std::span<const UnitCounts> counts, const PackerConfig& cfg) {
           best_fit
               ? best_fit_target(wu_power.data(), n, limit, 0, 0, r.fit_checks)
               : first_fit_target(wu_power.data(), n, limit, 0, 0,
-                                 r.fit_checks, lv);
+                                 r.fit_checks);
       if (target == n) wu_power.push_back(0);
       wu_power.data()[target] += slot.current;
       slot.write_unit = target;
@@ -242,7 +234,7 @@ PackResult pack(std::span<const UnitCounts> counts, const PackerConfig& cfg) {
           best_fit ? best_fit_target(slots.data(), n, limit, forbid_lo,
                                      forbid_hi, r.fit_checks)
                    : first_fit_target(slots.data(), n, limit, forbid_lo,
-                                      forbid_hi, r.fit_checks, lv);
+                                      forbid_hi, r.fit_checks);
       if (target == n) {
         slots.push_back(0);
         ++r.subresult;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "tw/common/assert.hpp"
-#include "tw/common/simd.hpp"
 #include "tw/encode/flip_rule.hpp"
 
 namespace tw::schemes {
@@ -57,20 +56,15 @@ PlanVec plan_line(const pcm::LineBuf& line, const pcm::LogicalLine& next,
   const u64 mask = low_mask(bits);
 
   // Structure-of-arrays staging: gather the masked words once, then run
-  // the batched popcount kernels over the whole line instead of four
-  // scalar popcounts per unit. Must stay arithmetically identical to
-  // plan_unit() (the per-unit reference the differential tests pin).
-  // Hot path: raw-span access to cells/flip tags and unchecked plan
-  // writes; the ISA level is fetched once for the whole line.
+  // each count as a plain loop over the whole line. Must stay
+  // arithmetically identical to plan_unit() (the per-unit reference the
+  // differential tests pin). Hot path: raw-span access to cells/flip tags
+  // and unchecked plan writes.
   u64 old_w[pcm::kMaxUnitsPerLine];
   u64 new_w[pcm::kMaxUnitsPerLine];
-  u64 stored[pcm::kMaxUnitsPerLine];
-  u32 cnt_a[pcm::kMaxUnitsPerLine];
-  u32 cnt_b[pcm::kMaxUnitsPerLine];
   const u64* cells = line.cell_words().data();
   const bool* flips = line.flip_bits().data();
   const u64* words = next.words().data();
-  const simd::Level lv = simd::active_level();
   for (u32 i = 0; i < units; ++i) {
     old_w[i] = cells[i] & mask;
     new_w[i] = words[i] & mask;
@@ -82,40 +76,31 @@ PlanVec plan_line(const pcm::LineBuf& line, const pcm::LogicalLine& next,
   switch (crit) {
     case FlipCriterion::kNone:
       break;
-    case FlipCriterion::kHamming: {
+    case FlipCriterion::kHamming:
       // One XOR-popcount per unit suffices: with d = hamming(new, old),
       // the flip cost hamming(~new & mask, old) is exactly bits - d, so
       // plan_unit's cost comparison reduces to d and the tag state.
-      for (u32 i = 0; i < units; ++i) stored[i] = old_w[i] ^ new_w[i];
-      simd::popcount_each(stored, units, cnt_a, lv);
       for (u32 i = 0; i < units; ++i) {
-        pl[i].flip = encode::flip_wins(cnt_a[i], flips[i], bits);
+        pl[i].flip =
+            encode::flip_wins(hamming(old_w[i], new_w[i]), flips[i], bits);
       }
       break;
-    }
     case FlipCriterion::kMinimizeSets:
-      simd::popcount_each(new_w, units, cnt_a, lv);
       for (u32 i = 0; i < units; ++i) {
-        pl[i].flip = cnt_a[i] * 2 > bits;
+        pl[i].flip = popcount(new_w[i]) * 2 > bits;
       }
       break;
   }
 
   for (u32 i = 0; i < units; ++i) {
-    stored[i] = (pl[i].flip ? ~new_w[i] : new_w[i]) & mask;
-  }
-  simd::transition_counts(old_w, stored, units, cnt_a, cnt_b, lv);
-  for (u32 i = 0; i < units; ++i) {
-    pl[i].new_cells = stored[i];
-    pl[i].sets = cnt_a[i];
-    pl[i].resets = cnt_b[i];
-  }
-  simd::popcount_each(stored, units, cnt_a, lv);
-  for (u32 i = 0; i < units; ++i) {
-    pl[i].all_ones = cnt_a[i];
-    pl[i].all_zeros = bits - cnt_a[i];
-    const bool old_tag = flips[i];
-    pl[i].tag_changed = old_tag != pl[i].flip;
+    const u64 stored = (pl[i].flip ? ~new_w[i] : new_w[i]) & mask;
+    const u64 diff = old_w[i] ^ stored;
+    pl[i].new_cells = stored;
+    pl[i].sets = popcount(diff & stored);
+    pl[i].resets = popcount(diff & old_w[i]);
+    pl[i].all_ones = popcount(stored);
+    pl[i].all_zeros = bits - pl[i].all_ones;
+    pl[i].tag_changed = flips[i] != pl[i].flip;
     pl[i].tag_to_one = pl[i].flip;
   }
   return plans;

@@ -1,11 +1,10 @@
 #pragma once
-// Frozen pre-SIMD packing path (the seed's exact Algorithm 1 + 2
-// implementation), kept verbatim as an independent oracle:
+// Frozen packing path (the seed's exact Algorithm 1 + 2 implementation),
+// kept verbatim as an independent oracle:
 //
-//  - tests/simd_packer_test.cpp diffs the shipped SoA/SIMD pipeline
-//    (at every ISA level) against these functions bit-for-bit, so a
-//    vectorization bug cannot hide by breaking scalar and AVX2 the same
-//    way inside the shared shipped code;
+//  - tests/packer_reference_test.cpp diffs the shipped SoA pipeline
+//    against these functions bit-for-bit, so an optimization bug cannot
+//    hide inside the shared shipped code;
 //  - bench/micro_packer benches them as the committed baseline the
 //    ">= 2x packing-path" target is measured against (the same role
 //    reference_controller.hpp plays for micro_mem --reference).
