@@ -18,7 +18,7 @@ namespace tw::trace {
 
 /// Emission categories (bit positions in the category masks).
 enum class Category : u8 {
-  kKernel = 0,      ///< event kernel: dispatch, calendar-queue rotations
+  kKernel = 0,      ///< event kernel: one record per dispatched event
   kController = 1,  ///< memory controller: enqueue/issue/complete/drain
   kFsm = 2,         ///< write pipeline: SET/RESET pulse spans, line writes
   kPacker = 3,      ///< analysis stage: packing decisions, interspace steals
@@ -58,8 +58,7 @@ enum class Kind : u8 {
 /// record is self-describing without a per-category table.
 enum class Op : u16 {
   // kKernel
-  kEventFire = 0,    ///< one kernel event dispatched (arg0 = executed count)
-  kFarMigrate = 1,   ///< calendar-queue window rotation (arg0 = migrated)
+  kEventFire = 0,  ///< one kernel event dispatched (arg0 = executed count)
   // kController
   kReadEnqueue = 16,    ///< read accepted into the read queue
   kWriteEnqueue = 17,   ///< write accepted into the write queue

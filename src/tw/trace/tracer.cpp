@@ -17,7 +17,6 @@ const char* build_git_sha() { return TW_GIT_SHA; }
 const char* op_name(Op op) {
   switch (op) {
     case Op::kEventFire: return "event_fire";
-    case Op::kFarMigrate: return "far_migrate";
     case Op::kReadEnqueue: return "read_enqueue";
     case Op::kWriteEnqueue: return "write_enqueue";
     case Op::kReadForward: return "read_forward";

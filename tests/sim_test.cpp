@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "tw/common/assert.hpp"
+#include "tw/common/rng.hpp"
 #include "tw/sim/simulator.hpp"
 
 namespace tw::sim {
@@ -80,26 +83,6 @@ TEST(Simulator, NullCallbackThrows) {
   EXPECT_THROW(sim.schedule_at(0, nullptr), ContractViolation);
 }
 
-TEST(Simulator, StepSingleEvent) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_at(1, [&] { ++fired; });
-  sim.schedule_at(2, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending(), 1u);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-}
-
-TEST(Simulator, ClearDropsPending) {
-  Simulator sim;
-  sim.schedule_at(1, [] { FAIL() << "should not run"; });
-  sim.clear();
-  sim.run();
-  EXPECT_EQ(sim.executed(), 0u);
-}
-
 TEST(Simulator, ZeroDelayEventRunsAtCurrentTick) {
   Simulator sim;
   Tick seen = kTickMax;
@@ -108,6 +91,159 @@ TEST(Simulator, ZeroDelayEventRunsAtCurrentTick) {
   });
   sim.run();
   EXPECT_EQ(seen, 25u);
+}
+
+// ------------------------------------------------------- differential --
+// Seeded random schedules run on the kernel and on a reference that fires
+// the earliest pending event by (tick, priority, insertion order). An
+// event's children (count, delay, priority) derive from its id alone, and
+// ids are handed out in scheduling order, so the two sides create the
+// same events exactly when they fire in the same order.
+
+struct RefEvent {
+  Tick tick;
+  u64 prio;
+  u64 seq;
+  u64 id;
+};
+
+struct Fired {
+  Tick tick;
+  u64 id;
+  bool operator==(const Fired&) const = default;
+};
+
+/// 0, a few colliding ticks, up to 2 µs, or up to 3 ms.
+Tick random_delay(SplitMix64& r) {
+  switch (r.next() % 4) {
+    case 0: return 0;
+    case 1: return (r.next() % 8) * 64;
+    case 2: return r.next() % 2'000'000;
+    default: return (r.next() % 3'000) * 1'000'000;
+  }
+}
+
+Priority random_prio(SplitMix64& r) {
+  return static_cast<Priority>(r.next() % 4);
+}
+
+class KernelDiff {
+ public:
+  explicit KernelDiff(u64 seed) : seed_(seed), drive_(seed) {}
+
+  void run_and_compare() {
+    for (int stop = 0; stop < 400; ++stop) {
+      // Events scheduled from outside a callback, some at the current tick.
+      for (u64 k = drive_.next() % 4; k > 0; --k) {
+        const Tick delay = random_delay(drive_);
+        const Priority prio = random_prio(drive_);
+        sim_schedule(delay, prio);
+        ref_schedule(delay, prio);
+      }
+      const Tick now = sim_.now();
+      Tick limit = now;
+      switch (drive_.next() % 5) {
+        case 0: break;  // only what is due at the current tick
+        case 1: limit = now == 0 ? 0 : now - 1; break;  // behind the clock
+        case 2: limit += drive_.next() % 5'000; break;
+        case 3: limit += drive_.next() % 2'000'000; break;
+        default: limit += drive_.next() % 5'000'000'000; break;
+      }
+      const u64 fired = sim_.run(limit);
+      ASSERT_EQ(fired, ref_run(limit)) << "stop " << stop;
+      ASSERT_EQ(sim_log_, ref_log_) << "stop " << stop;
+      ASSERT_EQ(sim_.now(), ref_now_) << "stop " << stop;
+      ASSERT_EQ(sim_.pending(), ref_pending_.size()) << "stop " << stop;
+      ASSERT_EQ(sim_.next_tick(), ref_next_tick()) << "stop " << stop;
+    }
+    sim_.run();
+    ref_run(kTickMax);
+    EXPECT_EQ(sim_log_, ref_log_);
+    EXPECT_EQ(sim_.pending(), 0u);
+    EXPECT_EQ(sim_.next_tick(), kTickMax);
+    EXPECT_GT(sim_log_.size(), kBudget / 2);
+  }
+
+ private:
+  static constexpr u64 kBudget = 20'000;  ///< events created per side
+
+  /// Children of event `id`: up to two, each a (delay, priority) draw.
+  template <class Schedule>
+  void spawn_children(u64 id, Schedule schedule) {
+    SplitMix64 r(seed_ ^ (id * 0x9E3779B97F4A7C15ull));
+    for (u64 k = r.next() % 3; k > 0; --k) {
+      const Tick delay = random_delay(r);
+      schedule(delay, random_prio(r));
+    }
+  }
+
+  void sim_schedule(Tick delay, Priority prio) {
+    if (sim_ids_ == kBudget) return;
+    const u64 id = sim_ids_++;
+    sim_.schedule_in(
+        delay,
+        [this, id] {
+          sim_log_.push_back({sim_.now(), id});
+          spawn_children(id, [this](Tick d, Priority p) {
+            sim_schedule(d, p);
+          });
+        },
+        prio);
+  }
+
+  void ref_schedule(Tick delay, Priority prio) {
+    if (ref_ids_ == kBudget) return;
+    ref_pending_.push_back(
+        {ref_now_ + delay, static_cast<u64>(prio), ref_seq_++, ref_ids_++});
+  }
+
+  std::vector<RefEvent>::iterator ref_earliest() {
+    return std::min_element(ref_pending_.begin(), ref_pending_.end(),
+                            [](const RefEvent& a, const RefEvent& b) {
+                              return std::tie(a.tick, a.prio, a.seq) <
+                                     std::tie(b.tick, b.prio, b.seq);
+                            });
+  }
+
+  Tick ref_next_tick() {
+    return ref_pending_.empty() ? kTickMax : ref_earliest()->tick;
+  }
+
+  u64 ref_run(Tick limit) {
+    u64 fired = 0;
+    while (!ref_pending_.empty()) {
+      const auto it = ref_earliest();
+      if (it->tick > limit) break;
+      const RefEvent e = *it;
+      ref_pending_.erase(it);
+      ref_now_ = e.tick;
+      ref_log_.push_back({e.tick, e.id});
+      ++fired;
+      spawn_children(e.id, [this](Tick d, Priority p) { ref_schedule(d, p); });
+    }
+    if (limit != kTickMax && ref_now_ < limit) ref_now_ = limit;
+    return fired;
+  }
+
+  u64 seed_;
+  SplitMix64 drive_;  ///< stop sizes and outside schedules
+
+  Simulator sim_;
+  u64 sim_ids_ = 0;
+  std::vector<Fired> sim_log_;
+
+  Tick ref_now_ = 0;
+  u64 ref_seq_ = 0;
+  u64 ref_ids_ = 0;
+  std::vector<RefEvent> ref_pending_;
+  std::vector<Fired> ref_log_;
+};
+
+TEST(Simulator, MatchesSortedReferenceOnRandomSchedules) {
+  for (u64 seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    KernelDiff(seed).run_and_compare();
+  }
 }
 
 // ----------------------------------------------------------------- clock --
