@@ -66,7 +66,7 @@ std::function<double()> mean_delta(stats::Registry& reg, const char* name) {
 /// Register the standard gauge set on the snapshotter: queue depths, bank
 /// occupancy/utilization, per-epoch traffic, and Tetris budget
 /// utilization. Epoch-delta gauges carry their own previous-sample state.
-void add_standard_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
+void add_standard_gauges(trace::MetricsSnapshotter& snap,
                          mem::Controller& controller, stats::Registry& reg) {
   snap.add_gauge("read_q_depth",
                  [&] { return static_cast<double>(controller.read_queue_depth()); });
@@ -75,7 +75,7 @@ void add_standard_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
   snap.add_gauge("banks_busy", [&] {
     u32 busy = 0;
     for (const auto& b : controller.banks()) {
-      if (!b.idle_at(sim.now())) ++busy;
+      if (!b.idle_at(snap.now())) ++busy;
     }
     return static_cast<double>(busy);
   });
@@ -83,7 +83,7 @@ void add_standard_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
   snap.add_gauge("bank_util", [&, prev = u64{0}, prev_now = Tick{0}]() mutable {
     u64 total = 0;
     for (const auto& b : controller.banks()) total += b.busy_total();
-    const Tick now = sim.now();
+    const Tick now = snap.now();
     const u64 dt = (now - prev_now) * controller.banks().size();
     const double util =
         dt == 0 ? 0.0 : static_cast<double>(total - prev) / static_cast<double>(dt);
@@ -109,7 +109,7 @@ void add_standard_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
 /// which channels carry the load. Reads cross-registry state only during
 /// the serial front phase (sampling happens on the front domain), so no
 /// synchronization is needed.
-void add_channel_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
+void add_channel_gauges(trace::MetricsSnapshotter& snap,
                         mem::MemorySystem& msys) {
   const u32 channels = msys.channels();
   snap.add_gauge("read_q_depth", [&msys, channels] {
@@ -122,11 +122,11 @@ void add_channel_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
     for (u32 c = 0; c < channels; ++c) d += msys.channel(c).write_queue_depth();
     return static_cast<double>(d);
   });
-  snap.add_gauge("banks_busy", [&msys, &sim, channels] {
+  snap.add_gauge("banks_busy", [&msys, &snap, channels] {
     u32 busy = 0;
     for (u32 c = 0; c < channels; ++c) {
       for (const auto& b : msys.channel(c).banks()) {
-        if (!b.idle_at(sim.now())) ++busy;
+        if (!b.idle_at(snap.now())) ++busy;
       }
     }
     return static_cast<double>(busy);
@@ -368,9 +368,9 @@ RunMetrics run_system(const SystemConfig& cfg,
     }
     snapshotter.emplace(sim, reg, cfg.trace.metrics_epoch);
     if (channels == 1) {
-      add_standard_gauges(*snapshotter, sim, msys.channel(0), reg);
+      add_standard_gauges(*snapshotter, msys.channel(0), reg);
     } else {
-      add_channel_gauges(*snapshotter, sim, msys);
+      add_channel_gauges(*snapshotter, msys);
     }
     const bool single = channels == 1;
     // Indexed by Feature: none, fault, PALP, DRAM, encoder.
@@ -390,13 +390,16 @@ RunMetrics run_system(const SystemConfig& cfg,
   m.completed = cpus.all_finished();
 
   if (traced) {
+    // Final partial epoch, stamped where the run ended: run() has already
+    // moved the clocks on to max_sim_time.
+    const Tick end = msys.last_event_tick();
     if (channels == 1) {
-      snapshotter->sample();  // final partial epoch
-      attach.reset();         // stop emitting before collection
+      snapshotter->sample(end);
+      attach.reset();  // stop emitting before collection
     } else {
       // Final partial epoch emits into the front domain's ring.
       trace::Tracer::Attach fin(*tracer, *msys.front_ring());
-      snapshotter->sample();
+      snapshotter->sample(end);
     }
 
     trace::RunManifest manifest;

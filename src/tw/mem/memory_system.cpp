@@ -231,6 +231,11 @@ u64 MemorySystem::executed_events() const {
   return channels_ == 1 ? front_.executed() : engine_->executed_total();
 }
 
+Tick MemorySystem::last_event_tick() const {
+  return channels_ == 1 ? front_.last_event_tick()
+                        : engine_->last_event_tick();
+}
+
 void MemorySystem::merge_stats() {
   if (channels_ == 1) return;
   // Fixed channel order fixes the merged accumulator arithmetic (and

@@ -93,6 +93,10 @@ class MemorySystem : public MemoryInterface {
   /// Events executed across every simulation domain.
   u64 executed_events() const;
 
+  /// Tick of the last event executed in any domain: where a drained run
+  /// ended, before run() moved the clocks on to its limit.
+  Tick last_event_tick() const;
+
   u32 channels() const { return channels_; }
   Controller& channel(u32 c) { return *chans_[c].ctl; }
   const Controller& channel(u32 c) const { return *chans_[c].ctl; }

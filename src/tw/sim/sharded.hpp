@@ -21,6 +21,7 @@
 // order of a multi-channel trace is fixed by domain, and each domain's
 // ring has its own capacity.
 
+#include <algorithm>
 #include <vector>
 
 #include "tw/common/inline_function.hpp"
@@ -82,6 +83,13 @@ class ShardedEngine {
     u64 n = 0;
     for (const auto& d : domains_) n += d.sim->executed();
     return n;
+  }
+
+  /// Latest last_event_tick() across all domains.
+  Tick last_event_tick() const {
+    Tick t = 0;
+    for (const auto& d : domains_) t = std::max(t, d.sim->last_event_tick());
+    return t;
   }
 
  private:

@@ -15,14 +15,14 @@ u32 MetricsSnapshotter::add_gauge(std::string name,
   return idx;
 }
 
-void MetricsSnapshotter::sample() {
-  const Tick now = sim_.now();
+void MetricsSnapshotter::sample(Tick at) {
+  now_ = at;
   for (u32 i = 0; i < gauges_.size(); ++i) {
     const double v = gauges_[i]();
     accs_[i]->add(v);
     if (on(Category::kMetrics)) {
       emit_counter(Category::kMetrics, Op::kGauge,
-                   track_id(Track::kMetrics, i), now, v);
+                   track_id(Track::kMetrics, i), at, v);
     }
   }
   ++samples_;
@@ -34,7 +34,7 @@ void MetricsSnapshotter::arm() {
   sim_.schedule_in(
       epoch_,
       [this] {
-        sample();
+        sample(sim_.now());
         // Re-arm only while the system is still doing work; the sampling
         // event itself must not keep the simulation alive.
         if (sim_.pending() > 0) arm();

@@ -39,9 +39,15 @@ class MetricsSnapshotter {
   /// otherwise-drained simulation alive.
   void start();
 
-  /// Sample every gauge once, immediately (also used for the final
-  /// partial epoch at end of run).
-  void sample();
+  /// Sample every gauge once, immediately, stamped at tick `at`. The
+  /// epoch chain passes the simulator's clock; the harness passes the
+  /// run's last executed event for the final partial epoch.
+  void sample(Tick at);
+
+  /// Tick of the sample being taken. Gauges that depend on time read
+  /// this rather than the simulator's clock, which a finished run has
+  /// already moved on to its time limit.
+  Tick now() const { return now_; }
 
   u64 samples_taken() const { return samples_; }
   const std::vector<std::string>& gauge_names() const { return names_; }
@@ -52,6 +58,7 @@ class MetricsSnapshotter {
   sim::Simulator& sim_;
   stats::Registry& reg_;
   Tick epoch_;
+  Tick now_ = 0;
   u64 samples_ = 0;
   std::vector<std::string> names_;
   std::vector<std::function<double()>> gauges_;
